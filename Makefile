@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test ci fmt vet race race-all bench-smoke bench bench-pr10 bench-gate fit-bench net-bench baseline metrics-smoke fit-smoke shard-smoke ctrl-smoke net-smoke
+.PHONY: all build test ci fmt vet race race-all bench-smoke bench bench-pr10 bench-gate fit-bench net-bench baseline metrics-smoke fit-smoke shard-smoke ctrl-smoke net-smoke hapbench
 
 all: build test
 
@@ -67,8 +67,20 @@ ctrl-smoke:
 net-smoke:
 	$(GO) run ./scripts/netsmoke
 
+# bench-smoke compiles and runs one iteration of the simulator benchmark
+# and of the numeric layer benchmarks: the 441×441 linalg kernels
+# (GFLOP/s) and the P0 modulator's stationary solve (states/s).
 bench-smoke:
 	$(GO) test -bench=SimulatorHAP -benchtime=1x -run '^$$' .
+	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/linalg ./internal/markov
+
+# hapbench runs one workload of the benchmark of record (hapbench/NOTES.md)
+# through hapbench/run.sh, which builds hapbench and hapd into
+# .bench_build/. Pick the run with HAPBENCH_ARGS, e.g.
+#   make hapbench HAPBENCH_ARGS='--workload mux-128 --seed 7919 --seconds 35 --trace 1'
+HAPBENCH_ARGS ?= --workload p0-offline --seed 1 --seconds 35 --trace 0
+hapbench:
+	bash hapbench/run.sh $(HAPBENCH_ARGS)
 
 # bench captures a fresh full benchmark sweep as BENCH_pr10.json (same
 # go-test-json schema as BENCH_baseline.json) and runs the gate: allocs/op

@@ -1,9 +1,11 @@
 // Package linalg provides the small dense linear-algebra kernel the
 // matrix-geometric HAP/M/1 solver needs: row-major matrices, a
 // cache-friendly multiply, LU factorisation with partial pivoting, and
-// left/right linear solves. Go has no linear-algebra standard library;
-// these routines are deliberately minimal, allocation-conscious and fully
-// tested against closed-form cases rather than general-purpose.
+// linear solves for column and row right-hand sides. Go has no
+// linear-algebra standard library; these routines are deliberately
+// minimal, allocation-conscious and fully tested against closed-form
+// cases rather than general-purpose. Every routine runs on the calling
+// goroutine.
 package linalg
 
 import (
@@ -65,55 +67,74 @@ func (d *Dense) Zero() {
 	}
 }
 
-// Mul computes dst = a·b. dst must not alias a or b; it is resized
-// implicitly by panic if shapes mismatch. The kernel uses ikj order so the
-// inner loop streams both b and dst rows.
+// Mul computes dst = a·b. dst must not alias a or b; shapes must match
+// or it panics. See addRows for the kernel.
 func Mul(dst, a, b *Dense) {
-	if a.C != b.R || dst.R != a.R || dst.C != b.C {
-		panic("linalg: Mul shape mismatch")
-	}
-	if dst == a || dst == b {
-		panic("linalg: Mul aliasing")
-	}
+	checkMul(dst, a, b, "Mul")
 	dst.Zero()
-	n, k, m := a.R, a.C, b.C
-	for i := 0; i < n; i++ {
-		arow := a.A[i*k : (i+1)*k]
-		drow := dst.A[i*m : (i+1)*m]
-		for kk := 0; kk < k; kk++ {
-			aik := arow[kk]
-			if aik == 0 {
-				continue
-			}
-			brow := b.A[kk*m : (kk+1)*m]
-			for j, bv := range brow {
-				drow[j] += aik * bv
-			}
-		}
-	}
+	mulAdd(dst, a, b)
 }
 
 // MulAdd computes dst += a·b with the same constraints as Mul.
 func MulAdd(dst, a, b *Dense) {
+	checkMul(dst, a, b, "MulAdd")
+	mulAdd(dst, a, b)
+}
+
+func checkMul(dst, a, b *Dense, op string) {
 	if a.C != b.R || dst.R != a.R || dst.C != b.C {
-		panic("linalg: MulAdd shape mismatch")
+		panic("linalg: " + op + " shape mismatch")
 	}
 	if dst == a || dst == b {
-		panic("linalg: MulAdd aliasing")
+		panic("linalg: " + op + " aliasing")
 	}
-	n, k, m := a.R, a.C, b.C
-	for i := 0; i < n; i++ {
-		arow := a.A[i*k : (i+1)*k]
-		drow := dst.A[i*m : (i+1)*m]
-		for kk := 0; kk < k; kk++ {
-			aik := arow[kk]
-			if aik == 0 {
-				continue
-			}
-			brow := b.A[kk*m : (kk+1)*m]
-			for j, bv := range brow {
-				drow[j] += aik * bv
-			}
+}
+
+// mulAdd accumulates dst += a·b one dst row at a time (ikj order, so every
+// inner loop streams rows of b and dst).
+func mulAdd(dst, a, b *Dense) {
+	k, m := a.C, b.C
+	for i := 0; i < a.R; i++ {
+		addRows(dst.A[i*m:(i+1)*m], 1, a.A[i*k:(i+1)*k], b.A, m, 0)
+	}
+}
+
+// addRows is the one kernel under Mul, Factor and Solve: it computes
+//
+//	d += sign · Σ_t c[t] · x[t·ld+off : t·ld+off+len(d)]
+//
+// i.e. d plus a combination of the first len(c) rows of the row-major
+// matrix x (leading dimension ld), each taken from column off on. Rows
+// are folded in four at a time, so d is loaded and stored once per four
+// multiply-adds; the reslices let the compiler drop the bounds checks.
+// sign is ±1, so negating a coefficient is exact and subtracting rows
+// costs nothing extra. A group of zero coefficients is skipped.
+func addRows(d []float64, sign float64, c, x []float64, ld, off int) {
+	n := len(d)
+	t := 0
+	for ; t+4 <= len(c); t += 4 {
+		c0, c1, c2, c3 := c[t], c[t+1], c[t+2], c[t+3]
+		if c0 == 0 && c1 == 0 && c2 == 0 && c3 == 0 {
+			continue
+		}
+		c0, c1, c2, c3 = sign*c0, sign*c1, sign*c2, sign*c3
+		base := t*ld + off
+		x0 := x[base:][:n]
+		x1 := x[base+ld:][:n]
+		x2 := x[base+2*ld:][:n]
+		x3 := x[base+3*ld:][:n]
+		for j := range d {
+			d[j] += (c0*x0[j] + c1*x1[j]) + (c2*x2[j] + c3*x3[j])
+		}
+	}
+	for ; t < len(c); t++ {
+		ct := sign * c[t]
+		if ct == 0 {
+			continue
+		}
+		xt := x[t*ld+off:][:n]
+		for j := range d {
+			d[j] += ct * xt[j]
 		}
 	}
 }

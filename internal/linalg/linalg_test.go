@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -134,26 +135,6 @@ func TestLUSolveMatrixAndInverse(t *testing.T) {
 	}
 }
 
-func TestLUSolveRight(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	n := 12
-	a := randMat(r, n, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, a.At(i, i)+float64(n))
-	}
-	xTrue := randMat(r, 5, n)
-	b := NewDense(5, n)
-	Mul(b, xTrue, a)
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := f.SolveRight(b)
-	for i := range x.A {
-		wantClose(t, "XA=B", x.A[i], xTrue.A[i], 1e-8)
-	}
-}
-
 func TestLUSingular(t *testing.T) {
 	a := NewDense(3, 3)
 	copy(a.A, []float64{1, 2, 3, 2, 4, 6, 1, 0, 1}) // row2 = 2·row1
@@ -279,4 +260,72 @@ func TestAddToDiag(t *testing.T) {
 		}
 	}()
 	NewDense(2, 3).AddToDiag(1)
+}
+
+// naiveMul is the textbook triple loop the blocked kernels are checked
+// against.
+func naiveMul(a, b *Dense) *Dense {
+	out := NewDense(a.R, b.C)
+	for i := 0; i < a.R; i++ {
+		for j := 0; j < b.C; j++ {
+			var s float64
+			for k := 0; k < a.C; k++ {
+				s += a.At(i, k) * b.At(k, j)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+// TestMulMatchesNaive covers every remainder of the inner dimension modulo
+// the kernel's four-row unroll, and groups of zero coefficients it skips.
+func TestMulMatchesNaive(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 33, 64} {
+		a, b := randMat(r, 6, k), randMat(r, k, 5)
+		for j := 0; j < k && j < 4; j++ {
+			a.Set(2, j, 0) // row 2 starts with a zero group
+		}
+		want := naiveMul(a, b)
+		got := NewDense(6, 5)
+		Mul(got, a, b)
+		for i := range want.A {
+			wantClose(t, fmt.Sprintf("k=%d AB", k), got.A[i], want.A[i], 1e-12)
+		}
+	}
+}
+
+// TestLUNeedsPivoting factors matrices that are not diagonally dominant,
+// across sizes on both sides of the four-column panel, and checks
+// A·X = B for a multi-column right-hand side, A·x = b and x·A = b.
+func TestLUNeedsPivoting(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 37, 64} {
+		a := randMat(r, n, n)
+		if n > 1 {
+			a.Set(0, 0, 0) // force a row swap in the first panel
+		}
+		f, err := Factor(a)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		b := randMat(r, n, 3)
+		x := f.Solve(b)
+		ax := NewDense(n, 3)
+		Mul(ax, a, x)
+		for i := range b.A {
+			wantClose(t, fmt.Sprintf("n=%d AX", n), ax.A[i], b.A[i], 1e-9)
+		}
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = r.NormFloat64()
+		}
+		back := MatVec(a, f.SolveVec(v))
+		left := VecMat(f.SolveVecLeft(v), a)
+		for i := range v {
+			wantClose(t, fmt.Sprintf("n=%d Ax", n), back[i], v[i], 1e-9)
+			wantClose(t, fmt.Sprintf("n=%d xA", n), left[i], v[i], 1e-9)
+		}
+	}
 }

@@ -16,50 +16,61 @@ type LU struct {
 }
 
 // Factor computes the LU factorisation of the square matrix a (which is
-// copied, not modified).
+// copied, not modified). It works on panels of four columns: a panel is
+// pivoted and eliminated column by column, its rows of U are finished
+// with the panel's own multipliers, and then every row below takes the
+// panel's four-row update in one addRows pass.
 func Factor(a *Dense) (*LU, error) {
 	if a.R != a.C {
 		return nil, errors.New("linalg: LU needs a square matrix")
 	}
 	n := a.R
 	lu := a.Clone()
+	A := lu.A
 	piv := make([]int, n)
 	for i := range piv {
 		piv[i] = i
 	}
 	sign := 1
-	for col := 0; col < n; col++ {
-		// Pivot search.
-		p := col
-		max := math.Abs(lu.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(lu.At(r, col)); v > max {
-				max, p = v, r
+	for c0 := 0; c0 < n; c0 += 4 {
+		c1 := min(c0+4, n) // the panel is columns [c0, c1)
+		for col := c0; col < c1; col++ {
+			// Pivot search.
+			p := col
+			max := math.Abs(A[col*n+col])
+			for r := col + 1; r < n; r++ {
+				if v := math.Abs(A[r*n+col]); v > max {
+					max, p = v, r
+				}
+			}
+			if max == 0 {
+				return nil, ErrSingular
+			}
+			if p != col {
+				rp, rc := lu.Row(p), lu.Row(col)
+				for j := range rp {
+					rp[j], rc[j] = rc[j], rp[j]
+				}
+				piv[p], piv[col] = piv[col], piv[p]
+				sign = -sign
+			}
+			// Multipliers, applied to the rest of the panel only.
+			d := A[col*n+col]
+			for r := col + 1; r < n; r++ {
+				f := A[r*n+col] / d
+				A[r*n+col] = f
+				for j := col + 1; j < c1; j++ {
+					A[r*n+j] -= f * A[col*n+j]
+				}
 			}
 		}
-		if max == 0 {
-			return nil, ErrSingular
+		if c1 == n {
+			break
 		}
-		if p != col {
-			rp, rc := lu.Row(p), lu.Row(col)
-			for j := range rp {
-				rp[j], rc[j] = rc[j], rp[j]
-			}
-			piv[p], piv[col] = piv[col], piv[p]
-			sign = -sign
-		}
-		d := lu.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := lu.At(r, col) / d
-			lu.Set(r, col, f)
-			if f == 0 {
-				continue
-			}
-			rr := lu.Row(r)
-			rc := lu.Row(col)
-			for j := col + 1; j < n; j++ {
-				rr[j] -= f * rc[j]
-			}
+		// The panel's rows of U right of the panel, then the trailing rows.
+		panel := A[c0*n:]
+		for r := c0 + 1; r < n; r++ {
+			addRows(A[r*n+c1:(r+1)*n], -1, A[r*n+c0:r*n+min(r, c1)], panel, n, c1)
 		}
 	}
 	return &LU{lu: lu, piv: piv, sign: sign}, nil
@@ -96,68 +107,32 @@ func (f *LU) SolveVec(b []float64) []float64 {
 	return x
 }
 
-// Solve computes X solving A·X = B (column-wise solves). B is not
-// modified.
+// Solve computes X solving A·X = B (all columns at once, row by row of
+// X through addRows). B is not modified.
 func (f *LU) Solve(b *Dense) *Dense {
 	n := f.lu.R
 	if b.R != n {
 		panic("linalg: Solve shape mismatch")
 	}
-	x := NewDense(n, b.C)
+	m := b.C
+	x := NewDense(n, m)
 	// Apply row pivots of A to B's rows.
 	for i := 0; i < n; i++ {
 		copy(x.Row(i), b.Row(f.piv[i]))
 	}
-	// Forward substitution on all columns at once (row-major friendly).
+	// Forward substitution: row i −= Σ_{j<i} L_ij·row j.
 	for i := 1; i < n; i++ {
-		lrow := f.lu.Row(i)
-		xi := x.Row(i)
-		for j := 0; j < i; j++ {
-			l := lrow[j]
-			if l == 0 {
-				continue
-			}
-			xj := x.Row(j)
-			for c := range xi {
-				xi[c] -= l * xj[c]
-			}
-		}
+		addRows(x.Row(i), -1, f.lu.Row(i)[:i], x.A, m, 0)
 	}
+	// Back substitution: row i −= Σ_{j>i} U_ij·row j, then ÷ U_ii.
 	for i := n - 1; i >= 0; i-- {
 		urow := f.lu.Row(i)
 		xi := x.Row(i)
-		for j := i + 1; j < n; j++ {
-			u := urow[j]
-			if u == 0 {
-				continue
-			}
-			xj := x.Row(j)
-			for c := range xi {
-				xi[c] -= u * xj[c]
-			}
-		}
+		addRows(xi, -1, urow[i+1:], x.A[(i+1)*m:], m, 0)
 		d := urow[i]
 		for c := range xi {
 			xi[c] /= d
 		}
-	}
-	return x
-}
-
-// SolveRight computes X solving X·A = B, i.e. Xᵀ from Aᵀ·Xᵀ = Bᵀ. B is
-// not modified.
-func (f *LU) SolveRight(b *Dense) *Dense {
-	// X A = B  ⇔  Aᵀ Xᵀ = Bᵀ. Rather than transpose twice, solve row by
-	// row: each row of X satisfies row·A = brow, i.e. Aᵀ·rowᵀ = browᵀ.
-	// Reuse the same LU by noting it factors A, not Aᵀ, so build a
-	// transposed solve explicitly.
-	n := f.lu.R
-	if b.C != n {
-		panic("linalg: SolveRight shape mismatch")
-	}
-	x := NewDense(b.R, n)
-	for r := 0; r < b.R; r++ {
-		copy(x.Row(r), f.solveVecT(b.Row(r)))
 	}
 	return x
 }

@@ -1,13 +1,15 @@
 // Package markov implements the continuous-time Markov chain machinery the
-// HAP solvers stand on: a sparse rate-matrix representation, iterative
-// steady-state solvers (the paper's brute-force approach is exactly a sweep
-// iteration on the balance equations), closed-form birth–death results used
-// as validators, and a lattice indexer for multi-dimensional state spaces
-// such as HAP's (x, y₁..y_l, z).
+// HAP solvers stand on: a sparse rate-matrix representation, a direct
+// banded GTH stationary solve, iterative steady-state solvers (the
+// paper's brute-force approach is exactly a sweep iteration on the balance
+// equations), closed-form birth–death results used as validators, and a
+// lattice indexer for multi-dimensional state spaces such as HAP's
+// (x, y₁..y_l, z).
 //
 // Go has no strong linear-algebra standard library; these chains are sparse
-// and structured, so hand-rolled Gauss–Seidel and uniformised power
-// iteration are both simpler and faster than a dense solve.
+// and banded, so the direct solve works on the band alone (gth.go),
+// uniformised power iteration covers chains whose band is too wide for it,
+// and Gauss–Seidel sweeps Solution 0's joint chain as the paper does.
 package markov
 
 import (
@@ -26,6 +28,8 @@ import (
 var (
 	obsSweeps = obs.NewCounter("hap_markov_sweeps_total",
 		"Steady-state iteration sweeps (Gauss-Seidel and uniformised power iteration).")
+	obsDirect = obs.NewCounter("hap_markov_direct_solves_total",
+		"Stationary laws computed by direct GTH state reduction (no sweeps).")
 	obsSweepResidual = obs.NewFloatGauge("hap_markov_last_residual",
 		"Total-variation residual at the most recent convergence check.")
 )
@@ -91,8 +95,9 @@ func (c *Chain) MaxOutRate() float64 {
 
 // SteadyOptions controls the iterative solvers.
 type SteadyOptions struct {
-	// Tol is the total-variation change per sweep (Σ|Δπ|/2) below which the
-	// iteration is declared converged (default 1e-10).
+	// Tol is the total-variation distance (Σ|Δπ|/2) between two iterates
+	// checked CheckEvery sweeps apart (every sweep for Gauss–Seidel) below
+	// which the iteration is declared converged (default 1e-10).
 	Tol     float64
 	MaxIter int // iteration budget (default 200000)
 	// Pi0 optionally warm-starts the iteration; it is normalised first.

@@ -47,14 +47,15 @@ func (m *MMPP) Stationary() ([]float64, error) {
 	return m.StationaryCtx(nil)
 }
 
-// StationaryCtx is Stationary with cooperative cancellation: the power
-// iteration polls ctx (nil means "never cancelled") and aborts with the
-// context error. Cancelled solves are not cached.
+// StationaryCtx is Stationary with cooperative cancellation: the solve
+// (markov's Chain.Stationary: direct GTH, or power iteration for a band
+// too wide to store) polls ctx (nil means "never cancelled") and aborts
+// with the context error. Cancelled solves are not cached.
 func (m *MMPP) StationaryCtx(ctx context.Context) ([]float64, error) {
 	if m.pi != nil {
 		return m.pi, nil
 	}
-	pi, _, err := m.Chain.SteadyState(&markov.SteadyOptions{Tol: 1e-11, Ctx: ctx})
+	pi, _, err := m.Chain.Stationary(&markov.SteadyOptions{Tol: 1e-11, Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"hap/internal/core"
 )
 
 // lstMoments extracts the first two interarrival moments from a
@@ -247,5 +249,36 @@ func TestSuperposeValidation(t *testing.T) {
 	}
 	if _, err := Superpose(comps...); err == nil {
 		t.Error("oversized product state space accepted")
+	}
+}
+
+// TestSuperposeProductFormIsStationary checks the product-form identity
+// Superpose relies on: the stationary law of a Kronecker sum of
+// independent modulators is the product of their laws. A direct solve of
+// the merged chain resolves every state to round-off, so the identity
+// holds state by state to 1e-12, not only in aggregate.
+func TestSuperposeProductFormIsStationary(t *testing.T) {
+	hapProc, _, err := FromHAPSimplified(core.NewSymmetric(0.5, 0.25, 0.4, 0.5, 2, 50, 2, 2), 3, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := Superpose(hapProc,
+		MMPP2{R0: 1, R1: 12, Q01: 0.4, Q10: 1.1}.General(),
+		MMPP2{R0: 0, R1: 25, Q01: 0.2, Q10: 0.6}.General())
+	if err != nil {
+		t.Fatal(err)
+	}
+	product, err := sup.Stationary() // the product form Superpose seeds
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := sup.Chain.GTH(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range direct {
+		if d := math.Abs(product[i]-want) / want; d > 1e-12 {
+			t.Errorf("state %d: product form %v, direct %v (relative error %.2g)", i, product[i], want, d)
+		}
 	}
 }

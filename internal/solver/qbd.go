@@ -8,6 +8,7 @@ import (
 	"hap/internal/core"
 	"hap/internal/haperr"
 	"hap/internal/linalg"
+	"hap/internal/markov"
 	"hap/internal/mmpp"
 )
 
@@ -26,6 +27,23 @@ import (
 // ablation/cross-check. Unlike the truncated Gauss–Seidel Solution 0, the
 // queue dimension is exact, which matters because HAP's queue tail is
 // heavy (locally unstable high-population states).
+//
+// Two identities of this queue replace general QBD algebra. First, log
+// reduction yields G, the minimal solution of A2 + A1·G + A0·G² = 0, and
+// in general R = A0·(−A1 − A0·G)⁻¹. But G = (−A1 − A0·G)⁻¹·A2 too, and
+// A2 = μI is invertible, so (−A1 − A0·G)⁻¹ = G/μ and
+//
+//	R = diag(rates)·G/μ,
+//
+// a row scaling. Second, level 0 is entered from above through A2 and
+// left upwards through A0 exactly as the repeating levels are, so the
+// geometric form reaches down to it: π_z = π₀·R^z. Level 0's balance
+// π₀·B00 + π₁·A2 = 0 (B00 = Q − diag(rates)) then reads
+//
+//	π₀·(B00 + μR) = 0,   π₀·(I − R)⁻¹·1 = 1,
+//
+// the stationary law of the p-state chain censored on level 0, solved
+// directly by markov's GTH and scaled by the level sums.
 
 // QBD is the matrix-geometric solution of a modulated M/M/1-type queue.
 type QBD struct {
@@ -38,6 +56,8 @@ type QBD struct {
 	SumPi    []float64     // π₁(I−R)⁻¹ = Σ_{z≥1} π_z
 	LRIter   int
 	Residual float64 // final R-iteration convergence metric
+
+	imr *linalg.LU // factorised I − R
 }
 
 // RMethod selects how the rate matrix R is computed.
@@ -91,20 +111,11 @@ func SolveQBD(proc *mmpp.MMPP, mu float64, method RMethod, tol float64) (*QBD, e
 	}
 	c *= 1.0000001
 
-	// DTMC blocks.
-	a0 := linalg.NewDense(p, p) // up
-	a2 := linalg.NewDense(p, p) // down
-	a1 := linalg.NewDense(p, p) // local
+	// Ā1 = I + A1/c; Ā0 = diag(rates)/c and Ā2 = (μ/c)·I stay implicit.
+	a1 := q.Clone()
+	a1.Scale(1 / c)
 	for i := 0; i < p; i++ {
-		a0.Set(i, i, rates[i]/c)
-		a2.Set(i, i, mu/c)
-		for j := 0; j < p; j++ {
-			v := q.At(i, j) / c
-			if i == j {
-				v += 1 - (rates[i]+mu)/c
-			}
-			a1.Set(i, j, v)
-		}
+		a1.A[i*p+i] += 1 - (rates[i]+mu)/c
 	}
 
 	var r *linalg.Dense
@@ -112,37 +123,45 @@ func SolveQBD(proc *mmpp.MMPP, mu float64, method RMethod, tol float64) (*QBD, e
 	var residual float64
 	switch method {
 	case RMethodFunctional:
-		r, iters, residual, err = rFunctional(a0, a1, a2, tol)
+		r, iters, residual, err = rFunctional(a1, rates, mu, c, tol)
 	default:
-		r, iters, residual, err = rLogReduction(a0, a1, a2, tol)
+		r, iters, residual, err = rLogReduction(a1, rates, mu, c, tol)
 	}
 	if err != nil {
 		return nil, err
 	}
 
 	qbd := &QBD{P: p, Rates: rates, Mu: mu, R: r, LRIter: iters, Residual: residual}
-	if err := qbd.solveBoundary(q, c); err != nil {
+	if err := qbd.solveBoundary(q); err != nil {
 		return nil, err
 	}
 	return qbd, nil
 }
 
-// rLogReduction runs Latouche–Ramaswami logarithmic reduction for G, then
-// converts to R = Ā0(I − Ā1 − Ā0G)⁻¹. The third return is the final
-// stochasticity defect of G (the convergence metric).
-func rLogReduction(a0, a1, a2 *linalg.Dense, tol float64) (*linalg.Dense, int, float64, error) {
-	p := a0.R
+// rLogReduction runs Latouche–Ramaswami logarithmic reduction for G and
+// returns R = diag(rates)·G/μ (see the top of this file). The third
+// return is the final stochasticity defect of G (the convergence metric).
+func rLogReduction(a1 *linalg.Dense, rates []float64, mu, c, tol float64) (*linalg.Dense, int, float64, error) {
+	p := a1.R
 	eye := linalg.Eye(p)
 	tmp := linalg.NewDense(p, p)
 
-	// H = (I − A1)⁻¹; U = H·A0 (up), L = H·A2 (down).
+	// H = (I − Ā1)⁻¹; U = H·Ā0 (up) scales H's columns by rates/c and
+	// L = H·Ā2 (down) is (μ/c)·H.
 	linalg.Sub(tmp, eye, a1)
 	f, err := linalg.Factor(tmp)
 	if err != nil {
 		return nil, 0, math.Inf(1), fmt.Errorf("solver: qbd I−A1 singular: %w", err)
 	}
-	u := f.Solve(a0)
-	l := f.Solve(a2)
+	l := f.Inverse()
+	u := l.Clone()
+	for i := 0; i < p; i++ {
+		row := u.Row(i)
+		for j := range row {
+			row[j] *= rates[j] / c
+		}
+	}
+	l.Scale(mu / c)
 
 	g := l.Clone()
 	t := u.Clone()
@@ -160,58 +179,63 @@ func rLogReduction(a0, a1, a2 *linalg.Dense, tol float64) (*linalg.Dense, int, f
 		if err != nil {
 			return nil, iters, maxDef, fmt.Errorf("solver: qbd I−D singular: %w", err)
 		}
-		// U' = (I−D)⁻¹U², L' = (I−D)⁻¹L².
-		linalg.Mul(m2, u, u)
-		u2 := fD.Solve(m2)
+		// L' = (I−D)⁻¹L²; G += T·L'.
 		linalg.Mul(m2, l, l)
 		l2 := fD.Solve(m2)
-		// G += T·L'.
 		linalg.Mul(m2, t, l2)
 		linalg.Add(g, g, m2)
-		// T = T·U'.
-		linalg.Mul(m2, t, u2)
-		t.Copy(m2)
-		u, l = u2, l2
-		// Converged when G is (numerically) stochastic or T vanished.
+		// Converged when G is (numerically) stochastic; U' and T only
+		// serve the next iteration, so the last one skips them.
 		maxDef = 0.0
 		for _, s := range g.RowSums() {
 			if d := math.Abs(1 - s); d > maxDef {
 				maxDef = d
 			}
 		}
-		if maxDef < tol || t.MaxAbs() < tol {
+		if maxDef < tol {
+			break
+		}
+		// U' = (I−D)⁻¹U²; T = T·U'. Converged too when T vanished.
+		linalg.Mul(m2, u, u)
+		u2 := fD.Solve(m2)
+		linalg.Mul(m2, t, u2)
+		t.Copy(m2)
+		u, l = u2, l2
+		if t.MaxAbs() < tol {
 			break
 		}
 	}
-	// R = A0·(I − A1 − A0·G)⁻¹.
-	linalg.Mul(m1, a0, g)
-	linalg.Add(m1, m1, a1)
-	linalg.Sub(m1, linalg.Eye(p), m1)
-	fR, err := linalg.Factor(m1)
-	if err != nil {
-		return nil, iters, maxDef, fmt.Errorf("solver: qbd R conversion singular: %w", err)
+	for i := 0; i < p; i++ {
+		row := g.Row(i)
+		for j := range row {
+			row[j] *= rates[i] / mu
+		}
 	}
-	r := fR.SolveRight(a0)
-	return r, iters, maxDef, nil
+	return g, iters, maxDef, nil
 }
 
-// rFunctional runs the naive fixed-point iteration for R.
-func rFunctional(a0, a1, a2 *linalg.Dense, tol float64) (*linalg.Dense, int, float64, error) {
-	p := a0.R
+// rFunctional runs the naive fixed-point iteration R ← Ā0 + R·Ā1 + R²·Ā2
+// for R, with Ā0 = diag(rates)/c and Ā2 = (μ/c)·I.
+func rFunctional(a1 *linalg.Dense, rates []float64, mu, c, tol float64) (*linalg.Dense, int, float64, error) {
+	p := a1.R
 	r := linalg.NewDense(p, p)
 	next := linalg.NewDense(p, p)
 	r2 := linalg.NewDense(p, p)
-	diff := linalg.NewDense(p, p)
 	d := math.Inf(1)
 	for it := 1; it <= 200000; it++ {
-		// next = A0 + R·A1 + R²·A2.
-		next.Copy(a0)
-		linalg.MulAdd(next, r, a1)
+		linalg.Mul(next, r, a1)
 		linalg.Mul(r2, r, r)
-		linalg.MulAdd(next, r2, a2)
-		linalg.Sub(diff, next, r)
-		d = diff.MaxAbs()
-		r.Copy(next)
+		for i, v := range r2.A {
+			next.A[i] += mu / c * v
+		}
+		for i := 0; i < p; i++ {
+			next.A[i*p+i] += rates[i] / c
+		}
+		d = 0
+		for i, v := range next.A {
+			d = math.Max(d, math.Abs(v-r.A[i]))
+		}
+		r, next = next, r
 		if d < tol {
 			return r, it, d, nil
 		}
@@ -219,30 +243,29 @@ func rFunctional(a0, a1, a2 *linalg.Dense, tol float64) (*linalg.Dense, int, flo
 	return nil, 200000, d, fmt.Errorf("solver: qbd functional iteration: %w", haperr.ErrNotConverged)
 }
 
-// solveBoundary solves the level-0/level-1 balance equations with the CTMC
-// blocks and normalises.
-func (qb *QBD) solveBoundary(q *linalg.Dense, _ float64) error {
+// solveBoundary finds π₀ as the stationary law of the level-0 censored
+// generator B00 + μR, scales it so that π₀(I−R)⁻¹·1 = 1, and sets
+// π₁ = π₀R and Σ_{z≥1} π_z = π₁(I−R)⁻¹. q is the modulator generator.
+func (qb *QBD) solveBoundary(q *linalg.Dense) error {
 	p := qb.P
-	// CTMC blocks.
-	b00 := q.Clone() // level 0 local: Q − diag(rates)
-	a0 := linalg.NewDense(p, p)
+	// Off-diagonal rates of B00 + μR: Q's plus rates(i)·G(i, j) = μ·R(i, j).
+	// R is non-negative up to the round-off of the G iteration, which is
+	// clipped.
+	cens := make([]float64, p*p)
 	for i := 0; i < p; i++ {
-		b00.Set(i, i, b00.At(i, i)-qb.Rates[i])
-		a0.Set(i, i, qb.Rates[i])
+		for j := 0; j < p; j++ {
+			if i != j {
+				cens[i*p+j] = q.At(i, j) + max(0, qb.Mu*qb.R.At(i, j))
+			}
+		}
 	}
-	a1 := q.Clone() // repeating local: Q − diag(rates) − μI
-	for i := 0; i < p; i++ {
-		a1.Set(i, i, a1.At(i, i)-qb.Rates[i]-qb.Mu)
+	pi0, err := markov.GTHDense(nil, cens, p)
+	if err != nil {
+		return fmt.Errorf("solver: qbd boundary: %w", err)
 	}
-	// A1 + R·A2 with A2 = μI → A1 + μR.
-	ra2 := qb.R.Clone()
-	ra2.Scale(qb.Mu)
-	linalg.Add(ra2, ra2, a1)
 
-	// (I − R)⁻¹·1 for the normalisation.
-	eye := linalg.Eye(p)
 	imr := linalg.NewDense(p, p)
-	linalg.Sub(imr, eye, qb.R)
+	linalg.Sub(imr, linalg.Eye(p), qb.R)
 	fI, err := linalg.Factor(imr)
 	if err != nil {
 		return fmt.Errorf("solver: qbd I−R singular: %w", err)
@@ -251,50 +274,14 @@ func (qb *QBD) solveBoundary(q *linalg.Dense, _ float64) error {
 	for i := range ones {
 		ones[i] = 1
 	}
-	sOnes := fI.SolveVec(ones) // (I−R)⁻¹·1 (column)
-
-	// Assemble Mᵀ·v = e_last where M has the balance columns with the last
-	// column replaced by the normalisation coefficients.
-	n := 2 * p
-	mt := linalg.NewDense(n, n)
-	// Column block structure of M (before transpose):
-	//   M[0:p, 0:p] = B00, M[0:p, p:2p] = A0 (service-free level-0 rows)
-	//   M[p:2p, 0:p] = μI,  M[p:2p, p:2p] = A1 + μR
-	// Transposed into mt rows.
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			mt.Set(j, i, b00.At(i, j))  // (Mᵀ)[j][i] = M[i][j]
-			mt.Set(p+j, i, a0.At(i, j)) // upper-right block
-			mt.Set(p+j, p+i, ra2.At(i, j))
-		}
-		mt.Set(i, p+i, qb.Mu) // lower-left μI transposed
+	norm := linalg.Dot(pi0, fI.SolveVec(ones)) // π₀(I−R)⁻¹·1 before scaling
+	for i := range pi0 {
+		pi0[i] /= norm
 	}
-	// Replace the last equation (row of Mᵀ = column of M) with the
-	// normalisation: π₀·1 + π₁·(I−R)⁻¹·1 = 1.
-	last := n - 1
-	for i := 0; i < p; i++ {
-		mt.Set(last, i, 1)
-		mt.Set(last, p+i, sOnes[i])
-	}
-	rhs := make([]float64, n)
-	rhs[last] = 1
-	fM, err := linalg.Factor(mt)
-	if err != nil {
-		return fmt.Errorf("solver: qbd boundary singular: %w", err)
-	}
-	v := fM.SolveVec(rhs)
-	qb.Pi0 = v[:p]
-	qb.Pi1 = v[p:]
-	// Clip tiny negatives from round-off.
-	for i := range qb.Pi0 {
-		if qb.Pi0[i] < 0 && qb.Pi0[i] > -1e-12 {
-			qb.Pi0[i] = 0
-		}
-		if qb.Pi1[i] < 0 && qb.Pi1[i] > -1e-12 {
-			qb.Pi1[i] = 0
-		}
-	}
+	qb.Pi0 = pi0
+	qb.Pi1 = linalg.VecMat(pi0, qb.R)
 	qb.SumPi = fI.SolveVecLeft(qb.Pi1)
+	qb.imr = fI
 	return nil
 }
 
@@ -316,19 +303,10 @@ func (qb *QBD) Sigma() float64 {
 	return busy / qb.MeanRate()
 }
 
-// MeanQueue returns N̄ = π₁(I−R)⁻²·1.
+// MeanQueue returns N̄ = π₁(I−R)⁻²·1 = Σ_{z≥1} π_z·(I−R)⁻¹·1.
 func (qb *QBD) MeanQueue() float64 {
-	p := qb.P
-	imr := linalg.NewDense(p, p)
-	linalg.Sub(imr, linalg.Eye(p), qb.R)
-	f, err := linalg.Factor(imr)
-	if err != nil {
-		return math.NaN()
-	}
-	w := f.SolveVecLeft(qb.Pi1) // π₁(I−R)⁻¹
-	w = f.SolveVecLeft(w)       // π₁(I−R)⁻²
 	var s float64
-	for _, v := range w {
+	for _, v := range qb.imr.SolveVecLeft(qb.SumPi) {
 		s += v
 	}
 	return s

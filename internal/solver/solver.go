@@ -91,8 +91,9 @@ type Options struct {
 	// the partial iterate's statistics instead.
 	DisableFallback bool
 	// Ctx, when non-nil, bounds the solve: it is polled inside the chain
-	// sweeps and σ iterations, and a cancelled context aborts with the
-	// context error. Nil means context.Background().
+	// solves (sweeps and GTH eliminations) and σ iterations, and a
+	// cancelled context aborts with the context error. Nil means
+	// context.Background().
 	Ctx context.Context
 }
 
