@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test ci fmt vet race race-all bench-smoke bench bench-pr10 bench-gate fit-bench net-bench baseline metrics-smoke fit-smoke shard-smoke ctrl-smoke net-smoke hapbench
+.PHONY: all build test ci fmt vet race race-all bench-smoke bench bench-pr10 bench-gate fit-bench net-bench baseline metrics-smoke fit-smoke shard-smoke ctrl-smoke net-smoke hapbench hapbench-test
 
 all: build test
 
@@ -13,9 +13,10 @@ test:
 # ci is the merge gate: formatting, vet, the race detector over the
 # concurrency-bearing packages, a one-iteration benchmark smoke test, the
 # generate→fit pipeline smoke, the multi-shard determinism smoke, the
-# control-plane smoke, the queueing-network smoke, and the benchmark
-# trajectory gate (fresh capture vs the previous PR's).
-ci: fmt vet race bench-smoke fit-smoke shard-smoke ctrl-smoke net-smoke bench
+# control-plane smoke, the queueing-network smoke, the benchmark-of-record
+# module's vet and tests, and the benchmark trajectory gate (fresh capture
+# vs the previous PR's).
+ci: fmt vet race bench-smoke fit-smoke shard-smoke ctrl-smoke net-smoke hapbench-test bench
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -81,6 +82,13 @@ bench-smoke:
 HAPBENCH_ARGS ?= --workload p0-offline --seed 1 --seconds 35 --trace 0
 hapbench:
 	bash hapbench/run.sh $(HAPBENCH_ARGS)
+
+# hapbench-test vets and tests the hapbench module, including its dry run
+# of every workload. hapbench is a nested module that imports internal
+# packages, so the root module's vet and test never build it; this keeps
+# an internal API change from breaking the benchmark of record unseen.
+hapbench-test:
+	cd hapbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench captures a fresh full benchmark sweep as BENCH_pr10.json (same
 # go-test-json schema as BENCH_baseline.json) and runs the gate: allocs/op

@@ -179,7 +179,7 @@ type SimReplicated = sim.ReplicatedResult
 // seeded from (cfg.Seed, i) so the aggregate is bit-identical for every
 // worker count. A non-nil ctx cancels the fan-out and the runs promptly;
 // the aggregate then covers whatever completed, with the context error
-// returned.
+// returned. A non-positive n is rejected with ErrBadParameter.
 func SimulateReplications(ctx context.Context, m *Model, cfg SimConfig, n, workers int) (*SimReplicated, error) {
 	return sim.ReplicateRunsContext(ctx, n, cfg.Seed, workers, func(rep int, seed int64) *SimResult {
 		c := cfg

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"time"
 
-	"hap/internal/dist"
 	"hap/internal/haperr"
 	"hap/internal/mmpp"
 	"hap/internal/par"
@@ -182,7 +181,7 @@ func perturbInit(base emInit, seed int64) emInit {
 type emResult struct {
 	fit MMPP2Fit
 	err error
-	ok  bool // slot actually ran (MapNCtx may skip on cancellation)
+	ok  bool // slot actually ran (par.Map may skip on cancellation)
 }
 
 func fitMMPP2EM(ctx context.Context, times []float64, opt EMOptions) (MMPP2Fit, error) {
@@ -215,14 +214,14 @@ func fitMMPP2EM(ctx context.Context, times []float64, opt EMOptions) (MMPP2Fit, 
 		return emCore(ctx, x, sumX, base, opt.maxIter(), opt.tol(), s)
 	}
 
-	// Multi-start: start 0 is the base point, the rest are seed-perturbed.
-	// Each start runs in its own pooled scratch (sharing x read-only), so
-	// result i depends only on (x, base, Seed, i) — bit-identical at any
-	// worker count, the same contract as par.ReplicateRuns.
-	results := par.MapNCtx(ctx, starts, opt.Workers, func(i int) emResult {
+	// Multi-start: start 0 is the base point, the rest are perturbed from
+	// par.Replicate's per-start seed. Each start runs in its own pooled
+	// scratch (sharing x read-only), so result i depends only on
+	// (x, base, Seed, i) — bit-identical at any worker count.
+	results := par.Replicate(ctx, starts, opt.Seed, opt.Workers, func(i int, seed int64) emResult {
 		init := base
 		if i > 0 {
-			init = perturbInit(base, dist.SubSeed(opt.Seed, i))
+			init = perturbInit(base, seed)
 		}
 		ws := getScratch()
 		defer putScratch(ws)

@@ -99,7 +99,7 @@ func Simulate(simulate Simulator, cfg RoundTripConfig) (*RoundTrip, error) {
 			KeepArrivalTimes: int(perRep*1.25) + 64,
 		},
 	}
-	traces := par.ReplicateN(reps, cfg.Seed, cfg.Workers, func(rep int, seed int64) []float64 {
+	traces := par.Replicate(nil, reps, cfg.Seed, cfg.Workers, func(rep int, seed int64) []float64 {
 		return simulate(seed, scfg)
 	})
 	first, err := Analyze(traces[0], TraceConfig{})

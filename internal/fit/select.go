@@ -113,7 +113,7 @@ func Fit(ctx context.Context, times []float64, opt Options) (*Report, error) {
 	// scratch state is deliberately not forwarded — cross-fit warm starts
 	// belong to the single-model refit loop (Refitter), not to a selection
 	// sweep whose candidates may run concurrently.
-	cands := par.MapNCtx(ctx, len(models), opt.Workers, func(i int) Candidate {
+	cands := par.Map(ctx, len(models), opt.Workers, func(i int) Candidate {
 		copt := opt
 		copt.Scratch = nil
 		copt.EM.Scratch = nil
@@ -121,7 +121,7 @@ func Fit(ctx context.Context, times []float64, opt Options) (*Report, error) {
 	})
 	for i, cand := range cands {
 		if cand.Name == "" {
-			// MapNCtx skipped this slot: the context was cancelled before
+			// par.Map skipped this slot: the context was cancelled before
 			// the candidate started.
 			return rep, fmt.Errorf("fit: model selection interrupted before %q: %w", models[i], ctx.Err())
 		}

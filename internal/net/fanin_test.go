@@ -57,7 +57,7 @@ func TestFanInMatchesSuperposedQueue(t *testing.T) {
 	st := eng.AddStation(dist.NewStreams(dist.SubSeed(seed, -1-k)).Next(), meas, true)
 	for i := 0; i < k; i++ {
 		src := sim.NewHAPSource(model, dist.NewStreams(dist.SubSeed(seed, i)).Next())
-		eng.InstallAt(src, st)
+		src.Install(eng, st)
 	}
 	eng.Run()
 	refDelay := meas.MeanDelay()

@@ -179,7 +179,6 @@ type Result struct {
 	// HalfWidth is the 95% confidence half-width of the mean end-to-end
 	// sojourn across replications (RunReplicated with >= 2 reps).
 	HalfWidth float64
-	repMeans  stats.Welford
 }
 
 // errResult reports an invalid input without running anything.
@@ -411,7 +410,7 @@ func Run(t *Topology, ings []Ingress, cfg Config) *Result {
 			d.ingressArrive(node, dst, class)
 		})
 		src := ing.Make(dist.NewStreams(dist.SubSeed(cfg.Seed, i)).Next())
-		eng.InstallAt(src, alias)
+		src.Install(eng, alias)
 	}
 	eng.SetPacketDoneHook(d.packetDone)
 	eng.SetDeliverHook(d.deliver)
@@ -444,12 +443,13 @@ func RunReplicated(t *Topology, ings []Ingress, cfg Config, reps, workers int) *
 	if reps <= 0 {
 		return errResult(t, haperr.Badf("net: reps must be positive (got %d)", reps))
 	}
-	runs := par.MapNCtx(cfg.Ctx, reps, workers, func(r int) *Result {
+	runs := par.Replicate(cfg.Ctx, reps, cfg.Seed, workers, func(_ int, seed int64) *Result {
 		c := cfg
-		c.Seed = dist.SubSeed(cfg.Seed, r)
+		c.Seed = seed
 		return Run(t, ings, c)
 	})
 	agg := &Result{Topology: t.Name, Reps: runs}
+	var means stats.Welford // per-replication mean sojourns
 	for _, r := range runs {
 		if r == nil { // cancelled before this replication started
 			agg.Truncated = true
@@ -478,11 +478,9 @@ func RunReplicated(t *Topology, ings []Ingress, cfg Config, reps, workers int) *
 		agg.Events += r.Events
 		agg.Truncated = agg.Truncated || r.Truncated
 		agg.Paths = append(agg.Paths, r.Paths...)
-		agg.repMeans.Add(r.E2E.Sojourn.Mean())
+		means.Add(r.E2E.Sojourn.Mean())
 	}
-	if nr := agg.repMeans.N(); nr >= 2 {
-		agg.HalfWidth = 1.96 * agg.repMeans.Std() / math.Sqrt(float64(nr))
-	}
+	agg.HalfWidth = means.HalfWidth95()
 	if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
 		agg.Truncated = true
 		if agg.Err == nil {

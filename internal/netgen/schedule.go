@@ -20,11 +20,6 @@ type Schedule struct {
 	Horizon  float64
 }
 
-// scheduleCollector taps the simulator's arrival stream.
-type scheduleCollector struct {
-	sink *[]Arrival
-}
-
 // GenerateHAP produces a HAP arrival schedule of the given model-time
 // horizon using the simulator's source machinery (so correlations are the
 // real thing, not the closed-form approximation).
@@ -35,9 +30,7 @@ func GenerateHAP(m *core.Model, horizon float64, seed int64) (*Schedule, error) 
 	if horizon <= 0 {
 		return nil, fmt.Errorf("netgen: horizon must be positive")
 	}
-	streams := dist.NewStreams(seed)
-	src := sim.NewHAPSource(m, streams.Next())
-	return generate(src, horizon, streams)
+	return generate(sim.NewHAPSource(m, dist.NewStreams(seed).Next()), horizon, seed)
 }
 
 // GeneratePoisson produces the equal-rate Poisson baseline schedule.
@@ -45,9 +38,8 @@ func GeneratePoisson(rate, horizon float64, seed int64) (*Schedule, error) {
 	if rate <= 0 || horizon <= 0 {
 		return nil, fmt.Errorf("netgen: rate and horizon must be positive")
 	}
-	streams := dist.NewStreams(seed)
-	src := sim.NewPoissonSource(rate, dist.NewExponential(1), streams.Next())
-	return generate(src, horizon, streams)
+	src := sim.NewPoissonSource(rate, dist.NewExponential(1), dist.NewStreams(seed).Next())
+	return generate(src, horizon, seed)
 }
 
 // GenerateOnOff produces a 2-level/ON-OFF schedule.
@@ -55,20 +47,19 @@ func GenerateOnOff(tl *core.TwoLevel, horizon float64, seed int64) (*Schedule, e
 	if err := tl.Validate(); err != nil {
 		return nil, err
 	}
-	streams := dist.NewStreams(seed)
-	src := sim.NewOnOffSource(tl, streams.Next())
-	return generate(src, horizon, streams)
+	return generate(sim.NewOnOffSource(tl, dist.NewStreams(seed).Next()), horizon, seed)
 }
 
-func generate(src sim.Source, horizon float64, streams *dist.Streams) (*Schedule, error) {
-	// Use a near-infinite server so service completions do not throttle the
-	// arrival record; we only harvest arrival instants.
-	meas := sim.NewMeasurements(sim.MeasureConfig{KeepArrivalTimes: 1 << 26})
-	e := sim.NewEngine(horizon, streams.Next(), meas)
-	src.Install(e)
-	e.Run()
+// generate runs src for horizon model seconds through sim.Run and keeps
+// the arrival instants. The queue serves at the source's own law, but the
+// instants depend on the source's stream alone, never on service.
+func generate(src sim.Source, horizon float64, seed int64) (*Schedule, error) {
+	r := sim.Run(src, sim.Config{Horizon: horizon, Seed: seed, Measure: sim.MeasureConfig{KeepArrivalTimes: 1 << 26}})
+	if r.Err != nil {
+		return nil, r.Err
+	}
 	s := &Schedule{Horizon: horizon}
-	for _, t := range meas.Arrivals {
+	for _, t := range r.Meas.Arrivals {
 		s.Arrivals = append(s.Arrivals, Arrival{T: t})
 	}
 	return s, nil

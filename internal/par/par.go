@@ -35,83 +35,46 @@ func Workers(workers, n int) int {
 	return workers
 }
 
-// Map runs fn(0..n-1) on up to GOMAXPROCS workers and returns the results
-// in index order.
-func Map[T any](n int, fn func(i int) T) []T {
-	return MapN(n, 0, fn)
-}
-
-// MapN is Map with an explicit worker count (<= 0 selects GOMAXPROCS,
-// 1 runs inline with no goroutines). Work is handed out by an atomic
-// counter, so long and short items share the pool without static
-// partitioning imbalance; out[i] only ever depends on i.
-func MapN[T any](n, workers int, fn func(i int) T) []T {
+// Map runs fn(0..n-1) on up to workers goroutines (<= 0 selects
+// GOMAXPROCS, 1 runs inline with no goroutines) and returns the results in
+// index order. Work is handed out by an atomic counter, so long and short
+// items share the pool without static partitioning imbalance; out[i] only
+// ever depends on i.
+//
+// Once ctx is done no new index is handed out (in-flight items finish; fn
+// is responsible for its own early exit if it also watches ctx). Unstarted
+// slots keep their zero value, so callers that aggregate must skip zeros —
+// determinism still holds for every slot that did run. A nil ctx never
+// cancels.
+func Map[T any](ctx context.Context, n, workers int, fn func(i int) T) []T {
 	if n <= 0 {
 		return nil
 	}
-	out := make([]T, n)
-	workers = Workers(workers, n)
-	if workers == 1 {
-		for i := range out {
-			out[i] = fn(i)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// MapNCtx is MapN with cooperative cancellation: once ctx is done, no new
-// index is handed out (in-flight items finish; fn is responsible for its
-// own early exit if it also watches ctx). Unstarted slots keep their zero
-// value, so callers that aggregate must skip zeros — determinism still
-// holds for every slot that did run. A nil ctx is never cancelled.
-func MapNCtx[T any](ctx context.Context, n, workers int, fn func(i int) T) []T {
 	if ctx == nil {
-		return MapN(n, workers, fn)
-	}
-	if n <= 0 {
-		return nil
+		ctx = context.Background()
 	}
 	out := make([]T, n)
-	workers = Workers(workers, n)
-	if workers == 1 {
-		for i := range out {
-			if ctx.Err() != nil {
-				break
+	var next atomic.Int64
+	work := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
 			}
 			out[i] = fn(i)
 		}
+	}
+	workers = Workers(workers, n)
+	if workers == 1 {
+		work()
 		return out
 	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(i)
-			}
+			work()
 		}()
 	}
 	wg.Wait()
@@ -124,7 +87,7 @@ func MapNCtx[T any](ctx context.Context, n, workers int, fn func(i int) T) []T {
 // completion order) along with the full result slice.
 func MapErr[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	errs := make([]error, n)
-	out := MapN(n, workers, func(i int) T {
+	out := Map(nil, n, workers, func(i int) T {
 		v, err := fn(i)
 		errs[i] = err
 		return v
@@ -137,27 +100,13 @@ func MapErr[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// Replicate runs n independent replications on up to GOMAXPROCS workers.
-// Replication i receives the well-separated seed dist.SubSeed(seedBase, i),
-// so its result depends only on (seedBase, i): the slice is bit-identical
-// whether the replications run serially or across any number of workers.
-func Replicate[T any](n int, seedBase int64, fn func(rep int, seed int64) T) []T {
-	return ReplicateN(n, seedBase, 0, fn)
-}
-
-// ReplicateN is Replicate with an explicit worker count (<= 0 selects
-// GOMAXPROCS, 1 runs inline).
-func ReplicateN[T any](n int, seedBase int64, workers int, fn func(rep int, seed int64) T) []T {
-	return MapN(n, workers, func(i int) T {
-		return fn(i, dist.SubSeed(seedBase, i))
-	})
-}
-
-// ReplicateNCtx is ReplicateN with cooperative cancellation (see MapNCtx):
-// replications not yet started when ctx is cancelled are skipped and leave
-// zero-valued slots.
-func ReplicateNCtx[T any](ctx context.Context, n int, seedBase int64, workers int, fn func(rep int, seed int64) T) []T {
-	return MapNCtx(ctx, n, workers, func(i int) T {
+// Replicate runs n independent replications through Map (same worker and
+// cancellation semantics). Replication i receives the well-separated seed
+// dist.SubSeed(seedBase, i), so its result depends only on (seedBase, i):
+// the slice is bit-identical whether the replications run serially or
+// across any number of workers.
+func Replicate[T any](ctx context.Context, n int, seedBase int64, workers int, fn func(rep int, seed int64) T) []T {
+	return Map(ctx, n, workers, func(i int) T {
 		return fn(i, dist.SubSeed(seedBase, i))
 	})
 }

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -11,7 +12,7 @@ import (
 )
 
 func TestMapOrdersResultsByIndex(t *testing.T) {
-	got := Map(100, func(i int) int { return i * i })
+	got := Map(nil, 100, 0, func(i int) int { return i * i })
 	for i, v := range got {
 		if v != i*i {
 			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
@@ -30,22 +31,77 @@ func TestMapNDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		return s
 	}
-	serial := MapN(64, 1, work)
+	serial := Map(nil, 64, 1, work)
 	for _, workers := range []int{2, 3, 4, 16, 0} {
-		if got := MapN(64, workers, work); !reflect.DeepEqual(got, serial) {
+		if got := Map(nil, 64, workers, work); !reflect.DeepEqual(got, serial) {
 			t.Fatalf("workers=%d diverged from serial", workers)
 		}
 	}
 }
 
 func TestMapNEmptyAndClamp(t *testing.T) {
-	if got := MapN(0, 4, func(i int) int { return i }); got != nil {
+	if got := Map(nil, 0, 4, func(i int) int { return i }); got != nil {
 		t.Fatalf("n=0 should return nil, got %v", got)
 	}
 	// More workers than items must not panic or drop items.
-	got := MapN(3, 64, func(i int) int { return i })
+	got := Map(nil, 3, 64, func(i int) int { return i })
 	if !reflect.DeepEqual(got, []int{0, 1, 2}) {
 		t.Fatalf("got %v", got)
+	}
+}
+
+// TestMapCancellation: a nil ctx never cancels, and once ctx is done no
+// new index starts, so unstarted slots keep their zero value — at 1 worker
+// and at N.
+func TestMapCancellation(t *testing.T) {
+	const n = 32
+	val := func(i int) int { return i*i + 1 } // never zero
+	for _, workers := range []int{1, 4} {
+		for i, v := range Map(nil, n, workers, val) {
+			if v != val(i) {
+				t.Fatalf("workers=%d nil ctx: out[%d] = %d, want %d", workers, i, v, val(i))
+			}
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		var calls atomic.Int32
+		got := Map(ctx, n, workers, func(i int) int { calls.Add(1); return val(i) })
+		if len(got) != n || calls.Load() != 0 {
+			t.Fatalf("workers=%d cancelled ctx: %d slots, %d calls; want %d slots, 0 calls", workers, len(got), calls.Load(), n)
+		}
+		for i, v := range got {
+			if v != 0 {
+				t.Fatalf("workers=%d cancelled ctx: unstarted out[%d] = %d, want 0", workers, i, v)
+			}
+		}
+
+		// Item 3 cancels mid-run, and every later item waits for the
+		// cancel before returning, so no worker holds more than one of
+		// them: items 0..3 always finish, at most workers−1 more start,
+		// and every other slot stays zero.
+		ctx, cancel = context.WithCancel(context.Background())
+		got = Map(ctx, n, workers, func(i int) int {
+			if i == 3 {
+				cancel()
+			}
+			if i > 3 {
+				<-ctx.Done()
+			}
+			return val(i)
+		})
+		ran := 0
+		for i, v := range got {
+			if v != 0 && v != val(i) || v == 0 && i <= 3 {
+				t.Fatalf("workers=%d mid-run cancel: out[%d] = %d, want %d", workers, i, v, val(i))
+			}
+			if v != 0 {
+				ran++
+			}
+		}
+		if ran > 3+workers {
+			t.Fatalf("workers=%d mid-run cancel: %d items ran, want at most %d", workers, ran, 3+workers)
+		}
 	}
 }
 
@@ -82,7 +138,7 @@ func TestMapErrNilOnSuccess(t *testing.T) {
 }
 
 func TestReplicateSeedsAreWellSeparatedAndStable(t *testing.T) {
-	seeds := Replicate(16, 7, func(rep int, seed int64) int64 { return seed })
+	seeds := Replicate(nil, 16, 7, 0, func(rep int, seed int64) int64 { return seed })
 	seen := map[int64]bool{}
 	for i, s := range seeds {
 		if s != dist.SubSeed(7, i) {
@@ -93,7 +149,7 @@ func TestReplicateSeedsAreWellSeparatedAndStable(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	again := ReplicateN(16, 7, 1, func(rep int, seed int64) int64 { return seed })
+	again := Replicate(nil, 16, 7, 1, func(rep int, seed int64) int64 { return seed })
 	if !reflect.DeepEqual(seeds, again) {
 		t.Fatal("Replicate not reproducible across worker counts")
 	}

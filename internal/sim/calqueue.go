@@ -127,7 +127,6 @@ func (s *sched) migrateToCal() {
 	s.cal.init(nextPow2(n), width, start)
 	for i := range s.heap {
 		s.cal.push(s.heap[i])
-		s.heap[i] = event{} // release closures
 	}
 	s.heap = s.heap[:0]
 	s.onCal = true
@@ -135,17 +134,14 @@ func (s *sched) migrateToCal() {
 
 // migrateToHeap drains the calendar back into the heap.
 func (s *sched) migrateToHeap() {
-	for bi := range s.cal.buckets {
-		b := s.cal.buckets[bi]
+	for bi, b := range s.cal.buckets {
 		for i := range b {
 			s.heap.push(b[i])
-			b[i] = event{}
 		}
 		s.cal.buckets[bi] = b[:0]
 	}
 	for i := range s.cal.far {
 		s.heap.push(s.cal.far[i])
-		s.cal.far[i] = event{}
 	}
 	s.cal.far = s.cal.far[:0]
 	s.cal.n = 0
@@ -174,8 +170,7 @@ func nextPow2(n int) int {
 // that placed it, so placement and qualification can never disagree.
 // Float multiplication is weakly monotone, so an event scheduled at
 // t >= now can never land on a slot behind the scan. Events whose slot
-// would overflow int64 (absurdly far futures from the public Schedule
-// API) are parked in the small sorted `far` overflow list, consulted
+// would overflow int64 (absurdly far futures) are parked in the small sorted `far` overflow list, consulted
 // only by the direct-search fallback.
 type calQueue struct {
 	buckets [][]event
@@ -283,7 +278,6 @@ func (c *calQueue) pop() event {
 		if m := len(b); m > 0 {
 			if s, ok := c.slotOf(b[m-1].t); ok && s == c.slot {
 				e := b[m-1]
-				b[m-1] = event{}
 				c.buckets[c.cur] = b[:m-1]
 				c.n--
 				c.directs = 0
@@ -318,7 +312,6 @@ func (c *calQueue) popDirect() event {
 	if f := len(c.far); f > 0 {
 		if best < 0 || evLess(&c.far[f-1], &c.buckets[best][len(c.buckets[best])-1]) {
 			e := c.far[f-1]
-			c.far[f-1] = event{}
 			c.far = c.far[:f-1]
 			c.n--
 			c.setScan(e.t)
@@ -328,7 +321,6 @@ func (c *calQueue) popDirect() event {
 	b := c.buckets[best]
 	m := len(b)
 	e := b[m-1]
-	b[m-1] = event{}
 	c.buckets[best] = b[:m-1]
 	c.n--
 	c.setScan(e.t)

@@ -17,11 +17,12 @@
 // lets a pending event name an entity without keeping a pointer alive.
 //
 // An engine hosts one or more stations — (queue, server, measurements)
-// triples. The default station 0 is the classic single-queue setup every
-// existing entry point uses; the sharded aggregate runner (see sharded.go)
-// gives each source its own station on a shared engine, so hundreds of
+// triples. NewEngine creates station 0, which Run's single-queue sources
+// are installed on; the sharded aggregate runner (see sharded.go) gives
+// each source its own station on a shared engine, so hundreds of
 // independent source/queue systems cost one scheduler and one event loop
-// rather than one engine each.
+// rather than one engine each. A source binds to its station explicitly,
+// through Source.Install.
 package sim
 
 import (
@@ -38,8 +39,7 @@ import (
 type eventKind uint8
 
 const (
-	evFunc        eventKind = iota // closure fallback for the public Schedule API
-	evServiceDone                  // src = station index
+	evServiceDone eventKind = iota // src = station index
 	// HAPSource
 	evHAPUserArrive // next spontaneous user arrival
 	evHAPUserDepart // a = user slot, b = generation
@@ -69,13 +69,13 @@ const (
 	evNetDeliver // src = target station index, a = packet handle
 )
 
-// event is one scheduled occurrence, stored by value in the scheduler.
-// fire is set only for evFunc events from the public Schedule API; every
-// internal event is fully described by (kind, src, a, b, c).
+// event is one scheduled occurrence, stored by value in the scheduler and
+// fully described by (kind, src, a, b, c). It holds no pointers, so the
+// scheduler's slices are never scanned by the GC and a popped slot needs
+// no clearing.
 type event struct {
 	t    float64
 	seq  uint64
-	fire func()
 	kind eventKind
 	src  int32
 	a    int32
@@ -116,7 +116,6 @@ func (h *eventHeap) pop() event {
 	top := hh[0]
 	n := len(hh) - 1
 	hh[0] = hh[n]
-	hh[n] = event{} // release any closure for GC
 	*h = hh[:n]
 	hh = *h
 	i := 0
@@ -188,7 +187,7 @@ type message struct {
 }
 
 // station is one (FIFO queue, server, measurements) triple. Station 0 is
-// the engine's default; AddStation creates more for sharded aggregates.
+// created by NewEngine; AddStation creates more for sharded aggregates.
 // A station's sample path depends only on its own arrival stream and its
 // own service stream, never on which other stations share the engine —
 // the independence that makes sharded runs bit-identical at any shard
@@ -216,7 +215,8 @@ type station struct {
 	users int
 	apps  int
 	// served, when set, is invoked after each service completion with the
-	// message class; the HAP-CS source uses it to trigger responses.
+	// message class; a HAP-CS source installed here sets it to trigger
+	// responses.
 	served func(class int)
 	// ingress, when set, intercepts every message a source delivers to
 	// this station before it touches the queue: the network layer binds
@@ -249,15 +249,6 @@ type Engine struct {
 	cbrs     []*CBRSource
 	mmpps    []*MMPPSource
 	css      []*CSSource
-
-	// installStation is the station new sources bind to; Install leaves
-	// it at 0 (the classic single-queue engine), InstallAt points it at a
-	// dedicated station for the duration of one source's Install.
-	installStation int32
-
-	// Populations maintained by sources for tracing.
-	users int
-	apps  int
 
 	arrivals   int64
 	departures int64
@@ -322,8 +313,7 @@ func NewEngine(horizon float64, rng *rand.Rand, meas *Measurements) *Engine {
 }
 
 // AddStation creates an independent (queue, server, measurements) triple
-// and returns its index. Sources bound to the station via InstallAt feed
-// its queue instead of station 0's. With batched true, exponential
+// and returns its index for Source.Install. With batched true, exponential
 // service laws are served from a block-refilled draw buffer — the draw
 // order is preserved, so results are unchanged provided every service law
 // on the station is exponential (non-exponential laws fall back to direct
@@ -343,36 +333,11 @@ func (e *Engine) AddStation(rng *rand.Rand, meas *Measurements, batched bool) in
 	return int32(len(e.stations) - 1)
 }
 
-// InstallAt installs a source bound to the given station: every message
-// the source emits joins that station's queue, and that station's
-// measurements observe it.
-func (e *Engine) InstallAt(src Source, station int32) {
-	prev := e.installStation
-	e.installStation = station
-	src.Install(e)
-	e.installStation = prev
-}
-
 // Now returns the simulation clock.
 func (e *Engine) Now() float64 { return e.now }
 
-// Schedule enqueues fire to run at absolute time t (>= Now). Events beyond
+// scheduleEv enqueues an event at absolute time t (>= Now). Events beyond
 // the horizon are still queued; Run stops at the horizon regardless.
-//
-// Each call allocates the closure it is handed; sources on the hot path
-// use typed events (scheduleEv) instead, which allocate nothing.
-func (e *Engine) Schedule(t float64, fire func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", t, e.now))
-	}
-	e.seq++
-	e.events.push(event{t: t, seq: e.seq, kind: evFunc, fire: fire})
-}
-
-// ScheduleAfter enqueues fire after a delay.
-func (e *Engine) ScheduleAfter(d float64, fire func()) { e.Schedule(e.now+d, fire) }
-
-// scheduleEv enqueues a typed event at absolute time t.
 func (e *Engine) scheduleEv(t float64, kind eventKind, src, a, b, c int32) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", t, e.now))
@@ -386,9 +351,9 @@ func (e *Engine) scheduleEvAfter(d float64, kind eventKind, src, a, b, c int32) 
 	e.scheduleEv(e.now+d, kind, src, a, b, c)
 }
 
-// dispatch routes one event to its handler. The switch covers every typed
-// kind with a direct concrete-type method call; only evFunc events (public
-// Schedule API) go through a function value.
+// dispatch routes one event to its handler. The switch covers every kind
+// with a direct concrete-type method call; only network deliveries go
+// through the driver's hook.
 func (e *Engine) dispatch(ev *event) {
 	switch ev.kind {
 	case evServiceDone:
@@ -433,15 +398,13 @@ func (e *Engine) dispatch(ev *event) {
 		e.css[ev.src].sendResponse(ev.a)
 	case evNetDeliver:
 		e.deliver(ev.src, ev.a)
-	case evFunc:
-		ev.fire()
 	default:
 		panic(fmt.Sprintf("sim: unknown event kind %d", ev.kind))
 	}
 }
 
 // Source registration: Install calls one of these to obtain the slot that
-// the source's typed events carry in event.src.
+// the source's events carry in event.src.
 
 func (e *Engine) registerHAP(s *HAPSource) int32 {
 	e.haps = append(e.haps, s)
@@ -549,9 +512,6 @@ func (e *Engine) Arrivals() int64 { return e.arrivals }
 // Departures returns the number of completed services (all stations).
 func (e *Engine) Departures() int64 { return e.departures }
 
-// QueueLen returns the current number in system at station 0.
-func (e *Engine) QueueLen() int { return e.stations[0].qlen() }
-
 // totalQueueLen sums the number in system across stations (obs gauge).
 func (e *Engine) totalQueueLen() int {
 	n := 0
@@ -559,12 +519,6 @@ func (e *Engine) totalQueueLen() int {
 		n += e.stations[i].qlen()
 	}
 	return n
-}
-
-// ArriveMessage delivers a message with the given service-time law to
-// station 0's queue at the current clock.
-func (e *Engine) ArriveMessage(svc dist.Distribution, class int) {
-	e.arriveInto(0, svc, class)
 }
 
 // arriveInto delivers a message to the given station's queue. A station
@@ -641,14 +595,6 @@ func (e *Engine) completeService(sti int32) {
 	}
 }
 
-// SetServedHook registers a callback fired after every service completion
-// at the hook's station (before the next service starts). Sources that
-// react to completions — request/response exchanges — use this; the hook
-// binds to the station the source installing it is bound to.
-func (e *Engine) SetServedHook(f func(class int)) {
-	e.stations[e.installStation].served = f
-}
-
 // SetIngressHook turns the given station into a tagging alias: every
 // message a source bound to it emits is handed to f instead of queueing.
 // The network driver binds one alias station per external source, so the
@@ -685,29 +631,11 @@ func (e *Engine) ScheduleDeliver(t float64, station, pkt int32) {
 // station (the network layer's finite-buffer admission check).
 func (e *Engine) StationQueueLen(sti int32) int { return e.stations[sti].qlen() }
 
-// SetUsers records the current user population at station 0 (legacy
-// single-station API; station-bound sources use addUsers).
-func (e *Engine) SetUsers(n int) {
-	st := &e.stations[0]
-	e.users += n - st.users
-	st.users = n
-	st.meas.onPopulation(e.now, st.users, st.apps)
-}
-
-// SetApps records the current application population at station 0.
-func (e *Engine) SetApps(n int) {
-	st := &e.stations[0]
-	e.apps += n - st.apps
-	st.apps = n
-	st.meas.onPopulation(e.now, st.users, st.apps)
-}
-
-// addUsers adjusts the given station's user population (called by
-// station-bound sources).
+// addUsers adjusts the given station's user population (called by the
+// sources installed on it).
 func (e *Engine) addUsers(sti int32, d int) {
 	st := &e.stations[sti]
 	st.users += d
-	e.users += d
 	st.meas.onPopulation(e.now, st.users, st.apps)
 }
 
@@ -715,27 +643,16 @@ func (e *Engine) addUsers(sti int32, d int) {
 func (e *Engine) addApps(sti int32, d int) {
 	st := &e.stations[sti]
 	st.apps += d
-	e.apps += d
 	st.meas.onPopulation(e.now, st.users, st.apps)
 }
 
-// Users returns the current user population.
-func (e *Engine) Users() int { return e.users }
-
-// Apps returns the current application population.
-func (e *Engine) Apps() int { return e.apps }
-
-// Measurements exposes station 0's collected statistics.
-func (e *Engine) Measurements() *Measurements { return e.stations[0].meas }
-
-// stationMeas returns the given station's measurements.
-func (e *Engine) stationMeas(sti int32) *Measurements { return e.stations[sti].meas }
-
 // Source generates traffic into an engine.
 type Source interface {
-	// Install registers the source with the engine and schedules its
-	// initial events.
-	Install(e *Engine)
+	// Install registers the source with the engine, binds it to station
+	// st — every message it emits joins that station's queue, and that
+	// station's measurements observe it — and schedules its initial
+	// events.
+	Install(e *Engine, st int32)
 	// String describes the source for reports.
 	String() string
 }

@@ -5,9 +5,20 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"hap/internal/dist"
 )
+
+// TestEventSize pins the scheduler's element at 40 bytes: (t, seq) plus
+// the kind and four int32 payloads, no pointers. A pointer field would
+// make the GC scan every pending event and bring back the slot clearing
+// the heap and calendar queue do without.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(event{}) = %d, want 40", got)
+	}
+}
 
 // TestEventHeapPopOrder is a property test: under random pushes (with
 // heavy time ties), pop order must equal the (t, seq) sort order — the
@@ -88,23 +99,24 @@ func (d constDist) String() string            { return "const" }
 // TestQueueCompactionPreservesFIFODelays is a regression test for the
 // sliding-window queue: a long busy period pushes qhead far past the
 // compaction threshold, and every measured delay must still equal the
-// exact FIFO value.
+// exact FIFO value. Arrivals come in as typed packet deliveries, the same
+// path the network layer uses.
 func TestQueueCompactionPreservesFIFODelays(t *testing.T) {
 	const n = 500 // qhead crosses the >64, qhead*2>len(queue) threshold many times
-	streams := dist.NewStreams(1)
-	e := NewEngine(1e6, streams.Next(), NewMeasurements(MeasureConfig{}))
-	svc := constDist{v: 1.0}
+	meas := NewMeasurements(MeasureConfig{})
+	e := NewEngine(1e6, dist.NewStreams(1).Next(), meas)
+	var svc dist.Distribution = constDist{v: 1.0}
+	e.SetDeliverHook(func(st, pkt int32) { e.ArrivePacketAt(st, svc, 0, pkt) })
 	// Burst of n arrivals 1 ms apart: the queue builds to ~n, then drains
 	// one departure per second, compacting repeatedly along the way.
 	for i := 0; i < n; i++ {
-		at := float64(i) * 0.001
-		e.Schedule(at, func() { e.ArriveMessage(svc, 0) })
+		e.ScheduleDeliver(float64(i)*0.001, 0, int32(i))
 	}
 	e.Run()
 	if e.Departures() != n {
 		t.Fatalf("departures = %d, want %d", e.Departures(), n)
 	}
-	if got := e.QueueLen(); got != 0 {
+	if got := e.StationQueueLen(0); got != 0 {
 		t.Fatalf("queue not drained: %d", got)
 	}
 	// Exact FIFO: message i arrives at i·0.001, departs at i+1 (unit
@@ -114,10 +126,10 @@ func TestQueueCompactionPreservesFIFODelays(t *testing.T) {
 		sum += float64(i+1) - float64(i)*0.001
 	}
 	wantMean := sum / n
-	if got := e.Measurements().MeanDelay(); math.Abs(got-wantMean) > 1e-9 {
+	if got := meas.MeanDelay(); math.Abs(got-wantMean) > 1e-9 {
 		t.Fatalf("mean delay %v, want exact FIFO %v", got, wantMean)
 	}
-	if got := e.Measurements().Delays.Max(); math.Abs(got-(float64(n)-float64(n-1)*0.001)) > 1e-9 {
+	if got := meas.Delays.Max(); math.Abs(got-(float64(n)-float64(n-1)*0.001)) > 1e-9 {
 		t.Fatalf("max delay %v inconsistent with FIFO order", got)
 	}
 }

@@ -2,9 +2,9 @@ package sim
 
 import (
 	"context"
-	"math"
 	"time"
 
+	"hap/internal/haperr"
 	"hap/internal/par"
 	"hap/internal/stats"
 )
@@ -68,9 +68,7 @@ func MergeRuns(runs []*RunResult) *ReplicatedResult {
 		agg.Truncated = agg.Truncated || r.Truncated
 		agg.Elapsed += r.Elapsed
 	}
-	if n := agg.Delay.N(); n >= 2 {
-		agg.HalfWidth = 1.96 * agg.Delay.Std() / math.Sqrt(float64(n))
-	}
+	agg.HalfWidth = agg.Delay.HalfWidth95()
 	return agg
 }
 
@@ -78,7 +76,8 @@ func MergeRuns(runs []*RunResult) *ReplicatedResult {
 // (<= 0 selects GOMAXPROCS, 1 runs serially) and merges the results.
 // Replication i receives the well-separated seed dist.SubSeed(seedBase, i),
 // so the aggregate is bit-identical for every worker count — parallelism
-// changes wall-clock time, never the statistics.
+// changes wall-clock time, never the statistics. A non-positive n sets Err
+// (see ReplicateRunsContext).
 func ReplicateRuns(n int, seedBase int64, workers int, run func(rep int, seed int64) *RunResult) *ReplicatedResult {
 	agg, _ := ReplicateRunsContext(nil, n, seedBase, workers, run)
 	return agg
@@ -90,8 +89,13 @@ func ReplicateRuns(n int, seedBase int64, workers int, run func(rep int, seed in
 // whatever completed (possibly partially); the returned error is the
 // context error if the fan-out was cancelled, else the first
 // per-replication error in replication order, else nil. A nil ctx never
-// cancels.
+// cancels. A non-positive n is rejected with haperr.ErrBadParameter and an
+// empty Merged collector.
 func ReplicateRunsContext(ctx context.Context, n int, seedBase int64, workers int, run func(rep int, seed int64) *RunResult) (*ReplicatedResult, error) {
+	if n <= 0 {
+		err := haperr.Badf("sim: replication count must be positive (got %d)", n)
+		return &ReplicatedResult{Merged: NewMeasurements(MeasureConfig{}), Err: err}, err
+	}
 	start := time.Now()
 	// Count each replication as it completes so a live scrape shows fan-out
 	// progress, not just the final merge.
@@ -100,7 +104,7 @@ func ReplicateRunsContext(ctx context.Context, n int, seedBase int64, workers in
 		obsReplications.Inc()
 		return r
 	}
-	agg := MergeRuns(par.ReplicateNCtx(ctx, n, seedBase, workers, counted))
+	agg := MergeRuns(par.Replicate(ctx, n, seedBase, workers, counted))
 	agg.Elapsed = time.Since(start)
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {

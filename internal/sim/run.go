@@ -8,7 +8,6 @@ import (
 	"hap/internal/core"
 	"hap/internal/dist"
 	"hap/internal/haperr"
-	"hap/internal/stats"
 )
 
 // Config drives a single simulation run.
@@ -73,7 +72,7 @@ func Run(src Source, cfg Config) *RunResult {
 	if cfg.Ctx != nil {
 		e.SetContext(cfg.Ctx)
 	}
-	src.Install(e)
+	src.Install(e, 0)
 	e.Run()
 	return &RunResult{
 		Meas:       meas,
@@ -141,19 +140,4 @@ func RunCS(m *core.CSModel, cfg Config) *RunResult {
 		cfg.Measure.ClassCount = src.ClassCount()
 	}
 	return Run(src, cfg)
-}
-
-// Replications runs n independent replications (seeds seed+1..seed+n) of
-// whatever run produces a scalar metric, returning the across-replication
-// Welford and a ~95% half width.
-func Replications(n int, seed int64, run func(seed int64) float64) (stats.Welford, float64) {
-	var w stats.Welford
-	for i := 1; i <= n; i++ {
-		w.Add(run(seed + int64(i)))
-	}
-	hw := 0.0
-	if n >= 2 {
-		hw = 1.96 * w.Std() / math.Sqrt(float64(n))
-	}
-	return w, hw
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"hap/internal/core"
@@ -124,13 +123,7 @@ func RunSharded(n int, mk func(i int, arrival, service *rand.Rand) Source, cfg S
 		res.Merged = NewMeasurements(cfg.Measure)
 		return res
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards > n {
-		shards = n
-	}
+	shards := par.Workers(cfg.Shards, n)
 	res.Shards = shards
 
 	res.PerSource = make([]*Measurements, n)
@@ -156,12 +149,12 @@ func RunSharded(n int, mk func(i int, arrival, service *rand.Rand) Source, cfg S
 		res.PerSource[i] = meas
 		sh := &states[i%shards]
 		station := sh.eng.AddStation(service, meas, true)
-		sh.eng.InstallAt(src, station)
+		src.Install(sh.eng, station)
 		sh.sources = append(sh.sources, i)
 		sh.sts = append(sh.sts, station)
 	}
 
-	par.MapN(shards, shards, func(s int) struct{} {
+	par.Map(nil, shards, shards, func(s int) struct{} {
 		states[s].eng.Run()
 		return struct{}{}
 	})

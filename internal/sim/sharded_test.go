@@ -93,7 +93,7 @@ func TestStationMatchesDedicatedEngine(t *testing.T) {
 		src, service := build(i)
 		sharedMeas[i] = NewMeasurements(MeasureConfig{ClassCount: m.NumLeaves()})
 		st := shared.AddStation(service, sharedMeas[i], true)
-		shared.InstallAt(src, st)
+		src.Install(shared, st)
 	}
 	shared.Run()
 
@@ -103,7 +103,7 @@ func TestStationMatchesDedicatedEngine(t *testing.T) {
 		meas := NewMeasurements(MeasureConfig{ClassCount: m.NumLeaves()})
 		solo := NewEngine(2000, dist.NewStreams(42).Next(), nil)
 		st := solo.AddStation(service, meas, true)
-		solo.InstallAt(src, st)
+		src.Install(solo, st)
 		solo.Run()
 		if !reflect.DeepEqual(meas, sharedMeas[i]) {
 			t.Fatalf("station %d: shared-engine measurements differ from dedicated engine", i)
@@ -141,7 +141,7 @@ func TestShardedUsesCalendarQueue(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		st := dist.NewStreams(dist.SubSeed(5, i)).Next()
 		station := e.AddStation(dist.NewStreams(dist.SubSeed(5, i)).Next(), nil, true)
-		e.InstallAt(NewHAPSource(m, st), station)
+		NewHAPSource(m, st).Install(e, station)
 	}
 	e.Run()
 	// The application population only fills in at runtime, so check the

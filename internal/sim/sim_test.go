@@ -271,9 +271,10 @@ func TestDelayHistogram(t *testing.T) {
 }
 
 func TestReplicationsCI(t *testing.T) {
-	w, hw := Replications(8, 1000, func(seed int64) float64 {
-		return RunPoisson(5, 10, Config{Horizon: 20000, Seed: seed, Measure: MeasureConfig{Warmup: 200}}).Meas.MeanDelay()
+	agg := ReplicateRuns(8, 1000, 0, func(rep int, seed int64) *RunResult {
+		return RunPoisson(5, 10, Config{Horizon: 20000, Seed: seed, Measure: MeasureConfig{Warmup: 200}})
 	})
+	w, hw := agg.Delay, agg.HalfWidth
 	if w.N() != 8 || hw <= 0 {
 		t.Fatalf("bad replication stats: %v, hw=%v", w.N(), hw)
 	}
@@ -283,17 +284,22 @@ func TestReplicationsCI(t *testing.T) {
 }
 
 func TestEngineSchedulePastPanics(t *testing.T) {
-	streams := dist.NewStreams(1)
-	e := NewEngine(10, streams.Next(), nil)
-	e.Schedule(5, func() {
+	e := NewEngine(10, dist.NewStreams(1).Next(), nil)
+	fired := false
+	e.SetDeliverHook(func(st, pkt int32) {
+		fired = true
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling into the past must panic")
 			}
 		}()
-		e.Schedule(1, func() {})
+		e.scheduleEv(1, evNetDeliver, st, pkt, 0, 0)
 	})
+	e.ScheduleDeliver(5, 0, 0)
 	e.Run()
+	if !fired {
+		t.Fatal("the delivery at t=5 never fired")
+	}
 }
 
 func TestQBDCrossValidatesSimulation(t *testing.T) {

@@ -65,12 +65,13 @@ func (s *CSSource) ClassCount() int { return 2 * len(s.svcReq) }
 
 func (s *CSSource) String() string { return fmt.Sprintf("hap-cs(%s)", s.Model.Name) }
 
-// Install wires the completion hook and schedules the hierarchy.
-func (s *CSSource) Install(e *Engine) {
+// Install wires the station's completion hook and schedules the
+// hierarchy.
+func (s *CSSource) Install(e *Engine, st int32) {
 	s.e = e
 	s.id = e.registerCS(s)
-	s.st = e.installStation
-	e.SetServedHook(s.onServed)
+	s.st = st
+	e.stations[st].served = s.onServed
 	if s.StartStationary {
 		nu := s.Model.Nu()
 		for k := 0; k < dist.PoissonSample(s.rng, nu); k++ {

@@ -36,10 +36,10 @@ func NewCBRSource(interval float64, svc dist.Distribution, class int, rng *rand.
 func (s *CBRSource) String() string { return fmt.Sprintf("cbr(interval=%g)", s.Interval) }
 
 // Install schedules the first emission.
-func (s *CBRSource) Install(e *Engine) {
+func (s *CBRSource) Install(e *Engine, st int32) {
 	s.e = e
 	s.id = e.registerCBR(s)
-	s.st = e.installStation
+	s.st = st
 	e.scheduleEvAfter(s.Phase+s.nextGap(), evCBREmit, s.id, 0, 0, 0)
 }
 
@@ -86,9 +86,9 @@ func (m *Multi) String() string {
 	return s + ")"
 }
 
-// Install installs every bundled source.
-func (m *Multi) Install(e *Engine) {
+// Install installs every bundled source on station st.
+func (m *Multi) Install(e *Engine, st int32) {
 	for _, src := range m.Sources {
-		src.Install(e)
+		src.Install(e, st)
 	}
 }

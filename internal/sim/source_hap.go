@@ -65,10 +65,10 @@ func (s *HAPSource) ClassCount() int { return s.Model.NumLeaves() }
 func (s *HAPSource) String() string { return fmt.Sprintf("hap(%s)", s.Model) }
 
 // Install schedules the initial population and the first user arrival.
-func (s *HAPSource) Install(e *Engine) {
+func (s *HAPSource) Install(e *Engine, st int32) {
 	s.e = e
 	s.id = e.registerHAP(s)
-	s.st = e.installStation
+	s.st = st
 	if s.StartStationary {
 		nUsers := dist.PoissonSample(s.rng, s.Model.Nu())
 		for k := 0; k < nUsers; k++ {
@@ -202,10 +202,10 @@ func (s *PoissonSource) String() string { return fmt.Sprintf("poisson(rate=%g)",
 
 // Install schedules the first arrival. Every draw a Poisson source takes
 // is exponential, so its stream is batched from the very first draw.
-func (s *PoissonSource) Install(e *Engine) {
+func (s *PoissonSource) Install(e *Engine, st int32) {
 	s.e = e
 	s.id = e.registerPoisson(s)
-	s.st = e.installStation
+	s.st = st
 	s.eb = dist.NewExpBatch(s.rng)
 	e.scheduleEvAfter(s.eb.Exp()/s.Rate, evPoissonArrive, s.id, 0, 0, 0)
 }
@@ -243,10 +243,10 @@ func (s *OnOffSource) String() string {
 }
 
 // Install schedules the initial calls and the first call arrival.
-func (s *OnOffSource) Install(e *Engine) {
+func (s *OnOffSource) Install(e *Engine, st int32) {
 	s.e = e
 	s.id = e.registerOnOff(s)
-	s.st = e.installStation
+	s.st = st
 	if s.StartStationary {
 		for k := 0; k < dist.PoissonSample(s.rng, s.TL.Nu()); k++ {
 			s.addCall()

@@ -38,10 +38,10 @@ func (s *MMPPSource) String() string {
 }
 
 // Install schedules the modulator and arrival clocks.
-func (s *MMPPSource) Install(e *Engine) {
+func (s *MMPPSource) Install(e *Engine, st int32) {
 	s.e = e
 	s.id = e.registerMMPP(s)
-	s.st = e.installStation
+	s.st = st
 	s.state = s.Start
 	if s.StartStationary {
 		if pi, err := s.Proc.Stationary(); err == nil {

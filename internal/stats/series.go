@@ -120,7 +120,7 @@ func BatchMeans(xs []float64, nbatch int) (mean, halfWidth float64) {
 		}
 		bw.Add(s / float64(size))
 	}
-	return bw.Mean(), 1.96 * bw.Std() / math.Sqrt(float64(nbatch))
+	return bw.Mean(), bw.HalfWidth95()
 }
 
 // RunningMean records the cumulative running mean of a stream at a bounded

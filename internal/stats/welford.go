@@ -56,6 +56,15 @@ func (w *Welford) Var() float64 {
 // Std returns the sample standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 
+// HalfWidth95 returns the normal-approximation 95% confidence half-width
+// of the mean, 1.96·σ/√n (0 for fewer than 2 samples).
+func (w *Welford) HalfWidth95() float64 {
+	if w.n < 2 {
+		return 0
+	}
+	return 1.96 * w.Std() / math.Sqrt(float64(w.n))
+}
+
 // Min returns the smallest observation (0 if empty).
 func (w *Welford) Min() float64 { return w.min }
 

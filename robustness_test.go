@@ -3,6 +3,7 @@ package hap_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -53,6 +54,31 @@ func TestFacadeNoPanicOnAdversarialParams(t *testing.T) {
 	noPanic(t, "simulate-cs/empty", func() error {
 		return hap.SimulateCS(&hap.CSModel{}, hap.SimConfig{Horizon: 100}).Err
 	})
+	topo := hap.NetTandem("rows", []float64{10}, 0)
+	ings := []hap.NetIngress{hap.NetPoissonIngress(1, 0, -1)}
+	for _, n := range []int{0, -3} {
+		n := n
+		name := fmt.Sprintf("simulate-replications/n=%d", n)
+		noPanic(t, name, func() error {
+			agg, err := hap.SimulateReplications(context.Background(), hap.PaperParams(20), hap.SimConfig{Horizon: 100, Seed: 1}, n, 0)
+			_ = agg.Merged.MeanDelay() // the natural read must not panic
+			wantBadParameter(t, name, err)
+			return err
+		})
+		name = fmt.Sprintf("simulate-network-replicated/n=%d", n)
+		noPanic(t, name, func() error {
+			err := hap.SimulateNetworkReplicated(topo, ings, hap.NetConfig{Horizon: 100, Seed: 1}, n, 0).Err
+			wantBadParameter(t, name, err)
+			return err
+		})
+	}
+}
+
+func wantBadParameter(t *testing.T, name string, err error) {
+	t.Helper()
+	if err != nil && !errors.Is(err, hap.ErrBadParameter) {
+		t.Errorf("%s: err %v, want ErrBadParameter", name, err)
+	}
 }
 
 // noPanic runs f expecting a non-nil error and no panic.
