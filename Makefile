@@ -69,10 +69,12 @@ net-smoke:
 	$(GO) run ./scripts/netsmoke
 
 # bench-smoke compiles and runs one iteration of the simulator benchmark
-# and of the numeric layer benchmarks: the 441×441 linalg kernels
-# (GFLOP/s) and the P0 modulator's stationary solve (states/s).
+# and of the layer benchmarks: the scheduler's hold model at one source's
+# and 128 sources' pending sizes, the 441×441 linalg kernels (GFLOP/s)
+# and the P0 modulator's stationary solve (states/s).
 bench-smoke:
 	$(GO) test -bench=SimulatorHAP -benchtime=1x -run '^$$' .
+	$(GO) test -bench=SchedHold -benchtime=1x -run '^$$' ./internal/sim
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/linalg ./internal/markov
 
 # hapbench runs one workload of the benchmark of record (hapbench/NOTES.md)

@@ -310,8 +310,9 @@ func BenchmarkParallelReplications(b *testing.B) {
 // independent HAP source/queue systems partitioned across per-core event
 // loops. The merged statistics are bit-identical at every shard count
 // (TestShardedBitIdentical), so the sub-benchmarks differ only in wall
-// clock; shards=1 also exercises the calendar-queue scheduler, whose
-// pending set (~128 sources × ~150 events) sits far above calEnter.
+// clock; shards=1 also loads the scheduler with one large pending set
+// (~128 sources × ~150 events, ~19k), the size BenchmarkSchedHold in
+// internal/sim isolates.
 func BenchmarkShardedAggregate(b *testing.B) {
 	m := core.PaperParams(20)
 	const nsrc = 128

@@ -83,60 +83,6 @@ type event struct {
 	c    int32
 }
 
-// eventHeap is a hand-rolled binary min-heap ordered by (t, seq). Avoiding
-// container/heap's interface boxing saves one allocation per event, which
-// matters at 10⁷–10⁸ events per run. It is the scheduler's small-n mode;
-// see calqueue.go for the large-n calendar queue and the hybrid that
-// switches between them.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	hh := *h
-	i := len(hh) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !hh.less(i, parent) {
-			break
-		}
-		hh[i], hh[parent] = hh[parent], hh[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	hh := *h
-	top := hh[0]
-	n := len(hh) - 1
-	hh[0] = hh[n]
-	*h = hh[:n]
-	hh = *h
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && hh.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && hh.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		hh[i], hh[smallest] = hh[smallest], hh[i]
-		i = smallest
-	}
-	return top
-}
-
 // table tracks a source's live entities (users, applications, calls) by
 // slot with generation counters. Pending events name an entity as
 // (slot, generation); ok reports whether that incarnation is still alive,
@@ -277,13 +223,10 @@ type Engine struct {
 	packetDone func(station, pkt int32, class int, sojourn float64)
 }
 
-// Pre-sizing for the event scheduler and message queues: large enough
-// that typical runs never grow them, small enough to be irrelevant for
-// tiny ones (a few tens of KiB per engine).
-const (
-	initialHeapCap  = 1 << 12
-	initialQueueCap = 1 << 10
-)
+// initialQueueCap pre-sizes station 0's message queue: large enough that
+// typical runs never grow it, small enough to be irrelevant for tiny ones.
+// The scheduler pre-sizes itself (see newSched).
+const initialQueueCap = 1 << 10
 
 // ctxPollMask sets the cancellation poll period: the context is checked
 // every 4096 events, cheap enough to be invisible in the allocation-free
@@ -300,10 +243,10 @@ func NewEngine(horizon float64, rng *rand.Rand, meas *Measurements) *Engine {
 		meas = NewMeasurements(MeasureConfig{})
 	}
 	e := &Engine{
+		events:    newSched(),
 		horizon:   horizon,
 		maxEvents: 1 << 62,
 	}
-	e.events.heap = make(eventHeap, 0, initialHeapCap)
 	e.stations = append(e.stations, station{
 		queue: make([]message, 0, initialQueueCap),
 		rng:   rng,
@@ -337,9 +280,12 @@ func (e *Engine) AddStation(rng *rand.Rand, meas *Measurements, batched bool) in
 func (e *Engine) Now() float64 { return e.now }
 
 // scheduleEv enqueues an event at absolute time t (>= Now). Events beyond
-// the horizon are still queued; Run stops at the horizon regardless.
+// the horizon are still queued; Run stops at the horizon regardless. A NaN
+// time panics like a past one: it would otherwise pop, set the clock to
+// NaN (never past the horizon) and spin until the event budget, and it
+// breaks the scheduler's monotone precondition.
 func (e *Engine) scheduleEv(t float64, kind eventKind, src, a, b, c int32) {
-	if t < e.now {
+	if !(t >= e.now) {
 		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", t, e.now))
 	}
 	e.seq++

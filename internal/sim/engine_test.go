@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"unsafe"
 
@@ -13,78 +12,10 @@ import (
 // TestEventSize pins the scheduler's element at 40 bytes: (t, seq) plus
 // the kind and four int32 payloads, no pointers. A pointer field would
 // make the GC scan every pending event and bring back the slot clearing
-// the heap and calendar queue do without.
+// the scheduler's buckets do without.
 func TestEventSize(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got != 40 {
 		t.Fatalf("unsafe.Sizeof(event{}) = %d, want 40", got)
-	}
-}
-
-// TestEventHeapPopOrder is a property test: under random pushes (with
-// heavy time ties), pop order must equal the (t, seq) sort order — the
-// engine's determinism guarantee that ties break by schedule order.
-func TestEventHeapPopOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(500)
-		var h eventHeap
-		ref := make([]event, 0, n)
-		for i := 0; i < n; i++ {
-			// Coarse times force frequent ties so seq ordering is exercised.
-			ev := event{t: float64(rng.Intn(40)), seq: uint64(i + 1), a: int32(i)}
-			h.push(ev)
-			ref = append(ref, ev)
-		}
-		sort.Slice(ref, func(i, j int) bool {
-			if ref[i].t != ref[j].t {
-				return ref[i].t < ref[j].t
-			}
-			return ref[i].seq < ref[j].seq
-		})
-		for i, want := range ref {
-			got := h.pop()
-			if got.t != want.t || got.seq != want.seq || got.a != want.a {
-				t.Fatalf("trial %d: pop %d = (t=%v seq=%d), want (t=%v seq=%d)",
-					trial, i, got.t, got.seq, want.t, want.seq)
-			}
-		}
-		if len(h) != 0 {
-			t.Fatalf("trial %d: heap not drained, %d left", trial, len(h))
-		}
-	}
-}
-
-// TestEventHeapInterleavedPushPop mixes pushes and pops, mirroring the
-// engine's real access pattern, and checks the popped stream never goes
-// backwards in (t, seq).
-func TestEventHeapInterleavedPushPop(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var h eventHeap
-	var seq uint64
-	lastT, lastSeq := math.Inf(-1), uint64(0)
-	pops := 0
-	for step := 0; step < 5000; step++ {
-		if len(h) == 0 || rng.Intn(3) > 0 {
-			seq++
-			// Push times never before the last popped time, as the engine
-			// guarantees (no scheduling into the past).
-			base := lastT
-			if math.IsInf(base, -1) {
-				base = 0
-			}
-			h.push(event{t: base + float64(rng.Intn(10)), seq: seq})
-		} else {
-			got := h.pop()
-			pops++
-			if got.t < lastT || (got.t == lastT && got.seq <= lastSeq) {
-				t.Fatalf("step %d: pop (t=%v seq=%d) after (t=%v seq=%d)",
-					step, got.t, got.seq, lastT, lastSeq)
-			}
-			lastT, lastSeq = got.t, got.seq
-		}
-	}
-	if pops == 0 {
-		t.Fatal("no pops exercised")
 	}
 }
 

@@ -12,14 +12,13 @@ var (
 		"Events processed by simulation event loops.")
 	obsQueueDepth = obs.NewGauge("hap_sim_queue_depth",
 		"Messages in system (all stations) of the most recently sampled engine.")
-	// obsSchedPending replaces the pre-calendar-queue hap_sim_event_heap_size
-	// gauge: the scheduler is no longer always a heap, so the family name
-	// describes what is actually measured — pending future events, whichever
-	// structure holds them.
+	// obsSchedPending and obsSchedBuckets describe the future event list,
+	// a radix heap over event times (see sched.go): how many events are
+	// pending, and how many of its 65 buckets hold them.
 	obsSchedPending = obs.NewGauge("hap_sim_sched_pending",
 		"Pending future events of the most recently sampled engine.")
 	obsSchedBuckets = obs.NewGauge("hap_sim_sched_buckets",
-		"Calendar-queue buckets of the most recently sampled engine (0 while on the binary heap).")
+		"Non-empty radix-heap buckets (0-65) of the most recently sampled engine's scheduler.")
 	obsStations = obs.NewGauge("hap_sim_stations",
 		"Stations (queue/server pairs) hosted by the most recently sampled engine.")
 	obsArrivals = obs.NewCounter("hap_sim_arrivals_total",

@@ -302,6 +302,25 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 	}
 }
 
+// TestEngineScheduleNaNPanics: a NaN event time must panic like a past
+// one. Let through, a jitter law sampling NaN sets the clock to NaN, which
+// is never past the horizon, and the run spins to its event budget; the
+// small budget here keeps a regression from hanging the test.
+func TestEngineScheduleNaNPanics(t *testing.T) {
+	e := NewEngine(10, dist.NewStreams(1).Next(), nil)
+	e.SetMaxEvents(1000)
+	src := NewCBRSource(1, dist.NewExponential(100), 0, dist.NewStreams(2).Next())
+	src.Jitter = constDist{v: math.NaN()}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("a NaN event time must panic; the run ended at now=%v after %d events",
+				e.Now(), e.Processed())
+		}
+	}()
+	src.Install(e, 0)
+	e.Run()
+}
+
 func TestQBDCrossValidatesSimulation(t *testing.T) {
 	// A 2-state MMPP queue solved by the matrix-geometric method in the
 	// solver package must agree with simulation; here we check the chain

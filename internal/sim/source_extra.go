@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"hap/internal/dist"
@@ -25,10 +26,10 @@ type CBRSource struct {
 }
 
 // NewCBRSource builds a constant-rate source with one message every
-// interval seconds.
+// interval seconds; the interval must be positive and finite.
 func NewCBRSource(interval float64, svc dist.Distribution, class int, rng *rand.Rand) *CBRSource {
-	if interval <= 0 {
-		panic("sim: CBR interval must be positive")
+	if !(interval > 0) || math.IsInf(interval, 1) {
+		panic("sim: CBR interval must be positive and finite")
 	}
 	return &CBRSource{Interval: interval, Svc: svc, Class: class, rng: rng}
 }

@@ -44,13 +44,20 @@ func TestCBRSourceJitter(t *testing.T) {
 	wantClose(t, "mean interval", mean, 0.05+(0.0001+0.01)/2, 0.02)
 }
 
+// TestCBRValidation: a zero, negative, NaN or infinite interval must
+// panic at construction. A NaN interval would re-arm every emission at a
+// NaN time, which is never past the horizon, and hang the run.
 func TestCBRValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero interval must panic")
-		}
-	}()
-	NewCBRSource(0, dist.NewExponential(1), 0, nil)
+	for _, iv := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("interval %v must panic", iv)
+				}
+			}()
+			NewCBRSource(iv, dist.NewExponential(1), 0, nil)
+		}()
+	}
 }
 
 func TestMultiSuperposesRates(t *testing.T) {

@@ -95,8 +95,8 @@ func statsLines(bin string, args ...string) (string, error) {
 }
 
 // required are the families the sharded engine promises on the exposition
-// page; the sched_* gauges replaced hap_sim_event_heap_size when the
-// scheduler became a heap/calendar hybrid.
+// page; the sched_* gauges report the radix-heap scheduler's pending
+// events and non-empty buckets.
 var required = []string{
 	"hap_sim_events_total",
 	"hap_sim_sched_pending",
