@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test ci fmt vet race race-all bench-smoke bench bench-pr10 bench-gate fit-bench net-bench baseline metrics-smoke fit-smoke shard-smoke ctrl-smoke net-smoke hapbench hapbench-test
+.PHONY: all build test ci fmt vet race race-all bench-smoke bench bench-gate baseline metrics-smoke fit-smoke shard-smoke ctrl-smoke net-smoke hapbench hapbench-test
 
 all: build test
 
@@ -12,11 +12,11 @@ test:
 
 # ci is the merge gate: formatting, vet, the race detector over the
 # concurrency-bearing packages, a one-iteration benchmark smoke test, the
-# generate→fit pipeline smoke, the multi-shard determinism smoke, the
-# control-plane smoke, the queueing-network smoke, the benchmark-of-record
-# module's vet and tests, and the benchmark trajectory gate (fresh capture
-# vs the previous PR's).
-ci: fmt vet race bench-smoke fit-smoke shard-smoke ctrl-smoke net-smoke hapbench-test bench
+# five smoke rows (metrics, multi-shard determinism, generate→fit,
+# control plane, queueing networks), the benchmark-of-record module's vet
+# and tests, and the benchmark sweep with its gate (fresh capture vs the
+# newest committed BENCH_pr<N>.json).
+ci: fmt vet race bench-smoke metrics-smoke shard-smoke fit-smoke ctrl-smoke net-smoke hapbench-test bench
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -37,36 +37,43 @@ race:
 race-all:
 	$(GO) test -race -short -timeout 40m ./...
 
+# The five smokes are rows of one harness, scripts/smoke: each target
+# builds the cmd/ binaries its row drives into a temporary directory,
+# runs them end to end and prints "<row>-smoke: ok".
+# `go run ./scripts/smoke` with no row runs all five.
+
 # metrics-smoke boots cmd/hapsim with -metrics on an ephemeral port,
 # scrapes the exposition once, and asserts the required families are there.
 metrics-smoke:
-	$(GO) run ./scripts/metricsmoke
+	$(GO) run ./scripts/smoke metrics
 
-# shard-smoke builds cmd/hapsim and asserts the sharded engine's two CI
-# properties: -shards 1 and -shards 4 print bit-identical statistics, and
+# shard-smoke asserts the sharded engine's two CI properties on
+# cmd/hapsim: -shards 1 and -shards 4 print bit-identical statistics, and
 # a sharded run under -metrics exposes the scheduler gauges.
 shard-smoke:
-	$(GO) run ./scripts/shardsmoke
+	$(GO) run ./scripts/smoke shard
 
 # fit-smoke runs the generate→fit pipeline end to end: hapgen exports a
 # ~10k-arrival Poisson trace, hapfit fits it, and the gate asserts the
 # selector names "poisson" at the generator's rate.
 fit-smoke:
-	$(GO) run ./scripts/fitsmoke
+	$(GO) run ./scripts/smoke fit
 
-# ctrl-smoke boots cmd/hapd with one ephemeral stream, feeds a UDP
-# burst, waits for an admission decision on the API, checks the
-# hap_ctrl_* metric families, and asserts SIGTERM drains to exit 0.
+# ctrl-smoke boots cmd/hapd with 3 ephemeral streams on a 2-worker fit
+# pool, feeds each a UDP burst, waits for every per-stream decision and
+# the aggregate decision over all 3 on the API, checks each decision
+# history and the hap_ctrl_* metric families, and asserts SIGTERM drains
+# to exit 0.
 ctrl-smoke:
-	$(GO) run ./scripts/ctrlsmoke
+	$(GO) run ./scripts/smoke ctrl
 
-# net-smoke builds cmd/hapnet and asserts the queueing-network layer's CI
-# properties: a Poisson tandem delivers end to end with packet
+# net-smoke asserts the queueing-network layer's CI properties on
+# cmd/hapnet: a Poisson tandem delivers end to end with packet
 # conservation, a replicated fan-in prints bit-identical statistics at
 # -parallel 1 and -parallel 4, and a run under -metrics exposes the
 # hap_net_* families with nonzero forwarded/delivered counters.
 net-smoke:
-	$(GO) run ./scripts/netsmoke
+	$(GO) run ./scripts/smoke net
 
 # bench-smoke compiles and runs one iteration of the simulator benchmark
 # and of the layer benchmarks: the scheduler's hold model at one source's
@@ -92,34 +99,16 @@ hapbench:
 hapbench-test:
 	cd hapbench && $(GO) vet ./... && $(GO) test ./...
 
-# bench captures a fresh full benchmark sweep as BENCH_pr10.json (same
-# go-test-json schema as BENCH_baseline.json) and runs the gate: allocs/op
-# against the committed baseline, plus the per-PR trajectory (allocs/op,
-# events/s and arrivals/s) against the previous capture, BENCH_pr7.json.
-# The gate auto-discovers the newest BENCH_pr<N>.json as current and the
-# one before it as previous; see scripts/benchgate for the tolerance
-# calibration.
-bench: bench-pr10 bench-gate
-
-bench-pr10:
-	$(GO) test -bench . -benchtime=1x -run '^$$' -json . > BENCH_pr10.json
-
-# fit-bench re-measures just the fitter throughput benchmarks
-# (BenchmarkFitEM, BenchmarkFitTraceStats) and appends them to the
-# current capture, then re-runs the gate — the arrivals/s floor against
-# the previous PR without paying for the full sweep. The gate keeps the
-# last occurrence of each benchmark, so the append overrides the sweep's
-# numbers.
-fit-bench:
-	$(GO) test -bench 'BenchmarkFit(EM|TraceStats)$$' -benchtime=1x -run '^$$' -json . >> BENCH_pr10.json
-	$(GO) run ./scripts/benchgate
-
-# net-bench re-measures just the queueing-network throughput benchmarks
-# (BenchmarkNetworkEvents, BenchmarkNetworkTandemEvents) and appends them
-# to the current capture, then re-runs the gate so network events/s joins
-# the per-PR trajectory.
-net-bench:
-	$(GO) test -bench 'BenchmarkNetwork(Tandem)?Events$$' -benchtime=1x -run '^$$' -json . >> BENCH_pr10.json
+# bench captures a fresh full benchmark sweep into
+# .bench_build/BENCH_current.json (gitignored; same go-test-json schema as
+# BENCH_baseline.json) and runs the gate: allocs/op against the committed
+# baseline, plus the trajectory (allocs/op, events/s and arrivals/s)
+# against the newest committed BENCH_pr<N>.json. To commit a new
+# reference, copy the capture to BENCH_pr<N>.json. See scripts/benchgate
+# for the tolerance calibration.
+bench:
+	mkdir -p .bench_build
+	$(GO) test -bench . -benchtime=1x -run '^$$' -json . > .bench_build/BENCH_current.json
 	$(GO) run ./scripts/benchgate
 
 bench-gate:

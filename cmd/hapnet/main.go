@@ -216,7 +216,7 @@ func main() {
 }
 
 // nodeJSON and resultJSON flatten the result for scripted consumers
-// (scripts/netsmoke asserts on these fields).
+// (scripts/smoke asserts on these fields).
 type nodeJSON struct {
 	Name        string  `json:"name"`
 	In          int64   `json:"in"`

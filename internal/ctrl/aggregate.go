@@ -139,7 +139,10 @@ func (d *Daemon) solveAggregate(models []mmpp.MMPP2, pub *aggPublished) {
 	obsAggSolves.Inc()
 	if err != nil {
 		obsAggSolveErrors.Inc()
-		d.agg.warmSigma = 0
+		if d.agg.warmSigma != 0 {
+			d.agg.warmSigma = 0
+			obsSigmaResets.Inc()
+		}
 		pub.solveMsg = err.Error()
 		if errors.Is(err, haperr.ErrUnstable) {
 			pub.admitOK = true

@@ -315,7 +315,8 @@ func TestPoolWorkerCountDeterminism(t *testing.T) {
 
 // TestSigmaChainResets pins the σ-chain hygiene: a >2× fitted-rate jump
 // clears the warm-start before the solve, a failed solve clears it
-// after, and a small rate move keeps the chain.
+// after (per stream and for the aggregate), and a small rate move keeps
+// the chain.
 func TestSigmaChainResets(t *testing.T) {
 	cfg := testConfig(0)
 	cfg.ListenAddrs = nil
@@ -377,6 +378,24 @@ func TestSigmaChainResets(t *testing.T) {
 	}
 	if !pubErr.admitOK || pubErr.dec.Admit {
 		t.Errorf("unstable load should deny with reason, got %+v", pubErr.dec)
+	}
+
+	// The aggregate chain follows the same hygiene: a failed solve at an
+	// unchanged merged rate (no jump reset) clears the chain, counted once.
+	d := &Daemon{cfg: cfg}
+	d.cfg.ServiceRate = 10
+	d.agg.warmSigma, d.agg.lastRate = 0.5, cool.MeanRate()
+	base = obsSigmaResets.Value()
+	var aggErr aggPublished
+	d.solveAggregate([]mmpp.MMPP2{cool}, &aggErr) // merged rate ~125 against μ=10
+	if aggErr.solveOK {
+		t.Fatal("unstable aggregate solved")
+	}
+	if d.agg.warmSigma != 0 {
+		t.Errorf("aggregate warmSigma = %g after solve error, want 0", d.agg.warmSigma)
+	}
+	if got := obsSigmaResets.Value() - base; got != 1 {
+		t.Errorf("aggregate solve error reset the sigma chain %d times, want 1", got)
 	}
 }
 

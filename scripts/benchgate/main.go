@@ -6,17 +6,18 @@
 //     The event loop's zero-allocation steady state is a load-bearing
 //     property — a slipped allocs/op means a hot-path allocation crept in,
 //     which a timing benchmark alone would drown in noise.
-//  2. Per-PR trajectory: every benchmark present in both the previous PR's
-//     capture (BENCH_pr<N-1>.json) and the current one (BENCH_pr<N>.json)
-//     is compared on allocs/op (same slack as the anchor) and on its
-//     throughput metrics — events/s for the simulator benchmarks and
-//     arrivals/s for the fitter benchmarks — neither of which may drop
-//     below (1 - tolerance) of the previous capture.
+//  2. Trajectory: every benchmark present in both the reference capture
+//     (the newest committed BENCH_pr<N>.json) and the fresh one (written
+//     by `make bench` to .bench_build/BENCH_current.json, gitignored) is
+//     compared on allocs/op (same slack as the anchor) and on its
+//     throughput metrics — events/s for the simulator and network
+//     benchmarks and arrivals/s for the fitter benchmarks — neither of
+//     which may drop below (1 - tolerance) of the reference.
 //
-// The current and previous captures are discovered by scanning the working
-// directory for BENCH_pr<N>.json files: the highest N is "current", the
-// second highest is "previous" (falling back to the baseline when only one
-// exists). -current/-prev override the discovery.
+// The reference is discovered by scanning the working directory for
+// BENCH_pr<N>.json files and taking the highest N (falling back to the
+// baseline when none exists); committing a new reference is copying the
+// fresh capture to BENCH_pr<N>.json. -current/-prev override the paths.
 //
 // Tolerance calibration, allocs/op: the event loop allocates only per
 // *run* (scheduler, measurement buffers), never per event, so a hot-path
@@ -35,7 +36,7 @@
 // percent-level claims need seconds-scale -benchtime runs on a quiet
 // machine, which CI does not have.
 //
-//	go run ./scripts/benchgate                  # auto-discover captures
+//	go run ./scripts/benchgate                  # fresh capture vs newest reference
 //	go run ./scripts/benchgate -current BENCH_pr6.json -prev BENCH_pr5.json
 package main
 
@@ -53,12 +54,12 @@ import (
 func main() {
 	var (
 		baseline  = flag.String("baseline", "BENCH_baseline.json", "committed go test -json capture anchoring the allocs/op gate")
-		prev      = flag.String("prev", "", "previous PR's capture for the trajectory gate (default: second-newest BENCH_pr<N>.json, else the baseline)")
-		current   = flag.String("current", "", "fresh capture under test (default: newest BENCH_pr<N>.json)")
+		prev      = flag.String("prev", "", "reference capture for the trajectory gate (default: newest BENCH_pr<N>.json, else the baseline)")
+		current   = flag.String("current", ".bench_build/BENCH_current.json", "fresh capture under test, as written by make bench")
 		bench     = flag.String("bench", "BenchmarkSimulatorHAPEvents", "benchmark whose allocs/op is anchored against the baseline")
 		slack     = flag.Float64("slack", 1.5, "multiplicative allocs/op tolerance")
 		headroom  = flag.Int64("headroom", 32, "additive allocs/op tolerance (absorbs one-time setup drift)")
-		tolerance = flag.Float64("tolerance", 0.5, "maximum fractional events/s drop versus the previous capture")
+		tolerance = flag.Float64("tolerance", 0.5, "maximum fractional events/s drop versus the reference capture")
 	)
 	flag.Parse()
 	if err := run(*baseline, *prev, *current, *bench, *slack, *headroom, *tolerance); err != nil {
@@ -68,19 +69,13 @@ func main() {
 }
 
 func run(baseline, prev, current, bench string, slack float64, headroom int64, tolerance float64) error {
-	if current == "" || prev == "" {
-		discCur, discPrev, err := discover(baseline)
-		if err != nil {
+	if prev == "" {
+		var err error
+		if prev, err = discover(baseline); err != nil {
 			return err
 		}
-		if current == "" {
-			current = discCur
-		}
-		if prev == "" {
-			prev = discPrev
-		}
 	}
-	fmt.Printf("bench-gate: baseline %s, previous %s, current %s\n", baseline, prev, current)
+	fmt.Printf("bench-gate: baseline %s, reference %s, current %s\n", baseline, prev, current)
 
 	base, err := parseCapture(baseline)
 	if err != nil {
@@ -92,7 +87,7 @@ func run(baseline, prev, current, bench string, slack float64, headroom int64, t
 	}
 	cur, err := parseCapture(current)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w (run `make bench` first)", err)
 	}
 
 	// Gate 1: allocs/op anchored against the committed baseline.
@@ -111,7 +106,7 @@ func run(baseline, prev, current, bench string, slack float64, headroom int64, t
 	}
 	fmt.Printf("bench-gate: ok — %s at %d allocs/op (baseline %d, limit %d)\n", bench, c.allocs, b.allocs, limit)
 
-	// Gate 2: trajectory versus the previous PR's capture.
+	// Gate 2: trajectory versus the reference capture.
 	names := make([]string, 0, len(cur))
 	for name := range cur {
 		names = append(names, name)
@@ -162,35 +157,22 @@ func run(baseline, prev, current, bench string, slack float64, headroom int64, t
 
 var prFile = regexp.MustCompile(`^BENCH_pr(\d+)\.json$`)
 
-// discover scans the working directory for BENCH_pr<N>.json captures and
-// returns (newest, second-newest); with a single capture the previous
-// falls back to the baseline.
-func discover(baseline string) (current, prev string, err error) {
+// discover scans the working directory for committed BENCH_pr<N>.json
+// captures and returns the newest, or the baseline when there is none.
+func discover(baseline string) (string, error) {
 	entries, err := os.ReadDir(".")
 	if err != nil {
-		return "", "", err
+		return "", err
 	}
-	type pr struct {
-		n    int
-		name string
-	}
-	var prs []pr
+	newest, n := baseline, -1
 	for _, e := range entries {
 		if m := prFile.FindStringSubmatch(e.Name()); m != nil {
-			n, _ := strconv.Atoi(m[1])
-			prs = append(prs, pr{n, e.Name()})
+			if k, _ := strconv.Atoi(m[1]); k > n {
+				newest, n = e.Name(), k
+			}
 		}
 	}
-	if len(prs) == 0 {
-		return "", "", fmt.Errorf("no BENCH_pr<N>.json capture found (run `make bench` first)")
-	}
-	sort.Slice(prs, func(i, j int) bool { return prs[i].n > prs[j].n })
-	current = prs[0].name
-	prev = baseline
-	if len(prs) > 1 {
-		prev = prs[1].name
-	}
-	return current, prev, nil
+	return newest, nil
 }
 
 // result is one benchmark's extracted numbers.
@@ -213,8 +195,7 @@ var (
 // arrivals/s from a go test -json stream ("...\t 60268217 ns/op\t
 // 5332766 events/s\t ... 163 allocs/op"). Sub-benchmarks keep their full
 // slash-joined names; when the same benchmark appears more than once in a
-// capture (a targeted re-run appended to the file), the last occurrence
-// of each metric wins.
+// capture (a -count run), the last occurrence of each metric wins.
 func parseCapture(path string) (map[string]result, error) {
 	f, err := os.Open(path)
 	if err != nil {
