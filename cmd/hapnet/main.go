@@ -10,6 +10,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -114,9 +115,9 @@ func main() {
 	var ings []net.Ingress
 	switch *source {
 	case "hap":
-		// The message service rate only parameterizes the source's own law,
-		// which every node overrides with its exponential server — pass the
-		// node rate so the model prints with the effective service speed.
+		// Every node serves at its own rate, whatever the model's message
+		// service rate says — pass the node rate so the model prints with
+		// the effective service speed.
 		m := core.NewSymmetric(*lambda, *muUser, *lambda2, *mu2, *lambda3, *mu, *l, *mm)
 		if err := m.Validate(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -159,6 +160,10 @@ func main() {
 		res = net.RunReplicated(topo, ings, cfg, *reps, *workers)
 	} else {
 		res = net.Run(topo, ings, cfg)
+	}
+	if errors.Is(res.Err, haperr.ErrBadParameter) {
+		fmt.Fprintln(os.Stderr, res.Err)
+		os.Exit(haperr.ExitUsage)
 	}
 
 	fmt.Printf("\ntopology %s: %d nodes, %d links, horizon %g s", topo.Name, len(topo.Nodes), len(topo.Links), *horizon)

@@ -16,9 +16,10 @@ const expBatchSize = 256
 // (a uniform drawn between two batched exponentials would see a stream
 // position up to expBatchSize draws ahead).
 //
-// The simulation sources satisfy that proviso by construction: after
-// Install, the HAP / ON-OFF / Poisson clocks and the exponential service
-// laws draw nothing but ExpFloat64 from their streams.
+// The simulator satisfies that proviso by construction: after Install,
+// the HAP / ON-OFF / Poisson clocks draw nothing but ExpFloat64 from
+// their streams, and a station's service stream feeds only its
+// exponential server.
 //
 // Not safe for concurrent use, like the *rand.Rand it wraps.
 type ExpBatch struct {

@@ -1,75 +1,19 @@
-// Package dist provides the probability distributions used throughout the
-// HAP library: the holding-time and interarrival-time laws of the model
-// (exponential in the paper's analysis, with several alternatives for
-// simulation studies) and seedable random-number streams for independent
-// replications.
+// Package dist provides the random-number machinery of the HAP library:
+// seedable streams for independent replications and sources (Streams,
+// SubSeed), the batched unit-exponential reader the simulator draws its
+// clocks and service times from (ExpBatch), Poisson and weighted
+// categorical samplers, and the closed-form laws the analysis checks
+// against — Exponential and Erlang (the G/M/1 reference laws) and
+// HyperExponential (Solution 1's interarrival mixture).
 //
-// All distributions are immutable value types; the zero value is not useful,
-// construct them with the New* functions, which validate parameters.
+// The laws are immutable value types; construct them with the New*
+// functions, which validate parameters.
 package dist
 
-import (
-	"fmt"
-	"math/rand"
-)
-
-// Distribution is a univariate, non-negative probability distribution.
-//
-// Sample draws a variate using the supplied source so that callers control
-// stream assignment and reproducibility. Mean and Var report the first two
-// central moments; Var returns +Inf for distributions with infinite
-// variance (e.g. Pareto with shape <= 2).
-type Distribution interface {
-	Sample(r *rand.Rand) float64
-	Mean() float64
-	Var() float64
-	fmt.Stringer
-}
-
-// Laplacer is implemented by distributions with a closed-form
-// Laplace–Stieltjes transform E[e^{-sT}], defined for s >= 0.
-type Laplacer interface {
-	Laplace(s float64) float64
-}
-
-// Quantiler is implemented by distributions with an invertible CDF.
-type Quantiler interface {
-	// Quantile returns the p-quantile for p in (0, 1).
-	Quantile(p float64) float64
-}
-
-// Densitier is implemented by distributions with a known density and CDF.
-type Densitier interface {
-	PDF(t float64) float64
-	CDF(t float64) float64
-}
-
-// SCV returns the squared coefficient of variation Var/Mean² of d.
-// A Poisson process's exponential interarrival has SCV 1; SCV > 1 indicates
-// burstier-than-Poisson variability.
-func SCV(d Distribution) float64 {
-	m := d.Mean()
-	if m == 0 {
-		return 0
-	}
-	return d.Var() / (m * m)
-}
-
-// Rate returns the reciprocal of the mean of d. The paper specifies every
-// HAP parameter as a rate whose reciprocal is the mean of the corresponding
-// distribution.
-func Rate(d Distribution) float64 {
-	return 1 / d.Mean()
-}
+import "fmt"
 
 func checkPositive(name string, v float64) {
 	if !(v > 0) {
 		panic(fmt.Sprintf("dist: %s must be positive, got %v", name, v))
-	}
-}
-
-func checkProb(name string, v float64) {
-	if v < 0 || v > 1 {
-		panic(fmt.Sprintf("dist: %s must be in [0,1], got %v", name, v))
 	}
 }

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -57,70 +56,3 @@ func (e Exponential) Quantile(p float64) float64 {
 	}
 	return -math.Log1p(-p) / e.Lambda
 }
-
-func (e Exponential) String() string { return fmt.Sprintf("Exp(rate=%g)", e.Lambda) }
-
-// Deterministic is the degenerate distribution concentrated at Value.
-type Deterministic struct {
-	Value float64
-}
-
-// NewDeterministic returns a point mass at v (v >= 0).
-func NewDeterministic(v float64) Deterministic {
-	if v < 0 {
-		panic("dist: deterministic value must be non-negative")
-	}
-	return Deterministic{Value: v}
-}
-
-// Sample returns the constant value.
-func (d Deterministic) Sample(*rand.Rand) float64 { return d.Value }
-
-// Mean returns the constant value.
-func (d Deterministic) Mean() float64 { return d.Value }
-
-// Var returns 0.
-func (d Deterministic) Var() float64 { return 0 }
-
-// Laplace returns e^{-s·v}.
-func (d Deterministic) Laplace(s float64) float64 { return math.Exp(-s * d.Value) }
-
-// Quantile returns the constant value.
-func (d Deterministic) Quantile(float64) float64 { return d.Value }
-
-func (d Deterministic) String() string { return fmt.Sprintf("Det(%g)", d.Value) }
-
-// Uniform is the continuous uniform distribution on [A, B].
-type Uniform struct {
-	A, B float64
-}
-
-// NewUniform returns a uniform distribution on [a, b], 0 <= a < b.
-func NewUniform(a, b float64) Uniform {
-	if a < 0 || b <= a {
-		panic(fmt.Sprintf("dist: invalid uniform bounds [%v,%v]", a, b))
-	}
-	return Uniform{A: a, B: b}
-}
-
-// Sample draws a uniform variate on [A, B].
-func (u Uniform) Sample(r *rand.Rand) float64 { return u.A + (u.B-u.A)*r.Float64() }
-
-// Mean returns (A+B)/2.
-func (u Uniform) Mean() float64 { return (u.A + u.B) / 2 }
-
-// Var returns (B-A)²/12.
-func (u Uniform) Var() float64 { d := u.B - u.A; return d * d / 12 }
-
-// Laplace returns (e^{-sA} - e^{-sB}) / (s(B-A)).
-func (u Uniform) Laplace(s float64) float64 {
-	if s == 0 {
-		return 1
-	}
-	return (math.Exp(-s*u.A) - math.Exp(-s*u.B)) / (s * (u.B - u.A))
-}
-
-// Quantile returns A + p(B-A).
-func (u Uniform) Quantile(p float64) float64 { return u.A + p*(u.B-u.A) }
-
-func (u Uniform) String() string { return fmt.Sprintf("U[%g,%g]", u.A, u.B) }

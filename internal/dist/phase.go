@@ -1,10 +1,8 @@
 package dist
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 )
 
 // Erlang is the Erlang-k distribution: the sum of K independent exponentials
@@ -71,8 +69,6 @@ func (e Erlang) CDF(t float64) float64 {
 	}
 	return 1 - sum
 }
-
-func (e Erlang) String() string { return fmt.Sprintf("Erlang(k=%d,rate=%g)", e.K, e.Rate) }
 
 // HyperExponential is a probabilistic mixture of exponentials: with
 // probability P[i] the variate is Exp(Rates[i]). It is the exact law of the
@@ -189,15 +185,4 @@ func (h *HyperExponential) Laplace(s float64) float64 {
 		v += p * h.Rates[i] / (h.Rates[i] + s)
 	}
 	return v
-}
-
-func (h *HyperExponential) String() string {
-	if len(h.P) <= 4 {
-		parts := make([]string, len(h.P))
-		for i := range h.P {
-			parts[i] = fmt.Sprintf("%.3g:Exp(%.3g)", h.P[i], h.Rates[i])
-		}
-		return "Hyper{" + strings.Join(parts, ",") + "}"
-	}
-	return fmt.Sprintf("Hyper{%d branches, mean=%.4g}", len(h.P), h.Mean())
 }

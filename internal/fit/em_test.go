@@ -15,8 +15,7 @@ func simMMPP2(truth mmpp.MMPP2) Simulator {
 	return func(seed int64, cfg sim.Config) []float64 {
 		cfg.Seed = seed
 		streams := dist.NewStreams(seed + 1)
-		src := sim.NewMMPPSource(truth.General(), dist.NewExponential(40), streams.Next())
-		src.StartStationary = true
+		src := sim.NewMMPPSource(truth.General(), 40, streams.Next())
 		return sim.Run(src, cfg).Meas.Arrivals
 	}
 }

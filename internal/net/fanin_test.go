@@ -53,8 +53,8 @@ func TestFanInMatchesSuperposedQueue(t *testing.T) {
 	// Reference: the same k sources superposed onto one station, streams
 	// derived identically.
 	meas := sim.NewMeasurements(sim.MeasureConfig{Warmup: warmup})
-	eng := sim.NewEngine(horizon, dist.NewStreams(seed).Next(), nil)
-	st := eng.AddStation(dist.NewStreams(dist.SubSeed(seed, -1-k)).Next(), meas, true)
+	eng := sim.NewEngine(horizon)
+	st := eng.AddStation(dist.NewStreams(dist.SubSeed(seed, -1-k)).Next(), meas)
 	for i := 0; i < k; i++ {
 		src := sim.NewHAPSource(model, dist.NewStreams(dist.SubSeed(seed, i)).Next())
 		src.Install(eng, st)

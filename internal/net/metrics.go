@@ -67,7 +67,7 @@ func (b *netObsBatch) flush(d *driver) {
 		b.dropped = 0
 	}
 	for j, g := range b.depth {
-		g.Set(int64(d.eng.StationQueueLen(d.nodeSt[j])))
+		g.Set(int64(d.eng.StationQueueLen(int32(j))))
 	}
 }
 

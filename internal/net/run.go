@@ -2,6 +2,7 @@ package net
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"hap/internal/core"
 	"hap/internal/dist"
 	"hap/internal/haperr"
-	"hap/internal/mmpp"
 	"hap/internal/par"
 	"hap/internal/sim"
 	"hap/internal/stats"
@@ -58,37 +58,40 @@ type Ingress struct {
 	// precomputed shortest-path table; < 0 lets packets walk link weights
 	// until they reach a sink (a node with no out-links).
 	Dst int
-	// Make builds the source from its dedicated arrival stream. The
-	// source's own service law is ignored — each node's exponential server
-	// governs service at that node.
-	Make func(arrival *rand.Rand) sim.Source
+	// Make builds the source from its dedicated arrival stream, or reports
+	// why its parameters are invalid. The source's own service rate is
+	// ignored — each node's exponential server governs service at that
+	// node.
+	Make func(arrival *rand.Rand) (sim.Source, error)
 }
 
 // HAPIngress attaches a 3-level HAP source.
 func HAPIngress(m *core.Model, node, dst int) Ingress {
-	return Ingress{Node: node, Dst: dst, Make: func(r *rand.Rand) sim.Source {
-		return sim.NewHAPSource(m, r)
+	return Ingress{Node: node, Dst: dst, Make: func(r *rand.Rand) (sim.Source, error) {
+		if err := m.Validate(); err != nil {
+			return nil, err
+		}
+		return sim.NewHAPSource(m, r), nil
 	}}
 }
 
 // PoissonIngress attaches a Poisson source with the given packet rate.
 func PoissonIngress(rate float64, node, dst int) Ingress {
-	return Ingress{Node: node, Dst: dst, Make: func(r *rand.Rand) sim.Source {
-		return sim.NewPoissonSource(rate, dist.NewExponential(1), r)
+	return Ingress{Node: node, Dst: dst, Make: func(r *rand.Rand) (sim.Source, error) {
+		if !(rate > 0) || math.IsInf(rate, 1) {
+			return nil, haperr.Badf("poisson rate must be positive and finite (got %v)", rate)
+		}
+		return sim.NewPoissonSource(rate, 1, r), nil
 	}}
 }
 
 // OnOffIngress attaches the paper's two-level ON-OFF reduction.
 func OnOffIngress(tl *core.TwoLevel, node, dst int) Ingress {
-	return Ingress{Node: node, Dst: dst, Make: func(r *rand.Rand) sim.Source {
-		return sim.NewOnOffSource(tl, r)
-	}}
-}
-
-// MMPPIngress attaches an MMPP source.
-func MMPPIngress(proc *mmpp.MMPP, node, dst int) Ingress {
-	return Ingress{Node: node, Dst: dst, Make: func(r *rand.Rand) sim.Source {
-		return sim.NewMMPPSource(proc, dist.NewExponential(1), r)
+	return Ingress{Node: node, Dst: dst, Make: func(r *rand.Rand) (sim.Source, error) {
+		if err := tl.Validate(); err != nil {
+			return nil, err
+		}
+		return sim.NewOnOffSource(tl, r), nil
 	}}
 }
 
@@ -198,17 +201,14 @@ type packet struct {
 	path  []int32 // visited nodes, in order
 }
 
-// driver wires a compiled topology into one engine and owns all mutable
-// per-run state. Everything is local to a single Run call; nothing is
-// shared across replications except the immutable topology.
+// driver wires a compiled topology into one engine, node j on station j,
+// and owns all mutable per-run state. Everything is local to a single Run
+// call; nothing is shared across replications except the immutable
+// topology.
 type driver struct {
-	topo   *Topology
-	eng    *sim.Engine
-	cfg    Config
-	nodeSt []int32 // node j's engine station
-	// node j's service law, boxed once so the per-packet ArrivePacketAt
-	// call does not heap-allocate an interface value.
-	svcLaw  []dist.Distribution
+	topo    *Topology
+	eng     *sim.Engine
+	cfg     Config
 	routeRn []*rand.Rand // node j's routing stream
 	counts  []NodeCounts
 	e2e     EndToEnd
@@ -241,11 +241,11 @@ func (d *driver) release(h int32) { d.free = append(d.free, h) }
 // admit reports whether node j can accept one more packet right now.
 func (d *driver) admit(j int32) bool {
 	b := d.topo.Nodes[j].Buffer
-	return b == 0 || d.eng.StationQueueLen(d.nodeSt[j]) < b
+	return b == 0 || d.eng.StationQueueLen(j) < b
 }
 
 // ingressArrive is the per-source entry point: source class is preserved,
-// the source's service law is discarded in favour of the entry node's.
+// and the entry node's service rate serves the packet.
 func (d *driver) ingressArrive(node int32, dst int32, class int) {
 	d.e2e.Offered++
 	d.obs.tick(d)
@@ -257,13 +257,12 @@ func (d *driver) ingressArrive(node int32, dst int32, class int) {
 	}
 	pkt := d.alloc(d.eng.Now(), node, dst, int32(class))
 	d.counts[node].In++
-	d.eng.ArrivePacketAt(d.nodeSt[node], d.svcLaw[node], class, pkt)
+	d.eng.ArrivePacketAt(node, d.topo.Nodes[node].Mu, class, pkt)
 }
 
 // packetDone fires when a packet finishes service at a node: record the
 // hop, then deliver, forward or drop.
-func (d *driver) packetDone(sti, pkt int32, class int, sojourn float64) {
-	node := sti - 1 // station 0 is the engine's built-in default; nodes follow
+func (d *driver) packetDone(node, pkt int32, class int, sojourn float64) {
 	p := &d.pkts[pkt]
 	h := p.hops
 	p.hops++
@@ -296,7 +295,7 @@ func (d *driver) packetDone(sti, pkt int32, class int, sojourn float64) {
 	l := &t.Links[li]
 	d.counts[node].Forwarded++
 	d.obs.forwarded++
-	d.eng.ScheduleDeliver(d.eng.Now()+l.Delay, d.nodeSt[l.To], pkt)
+	d.eng.ScheduleDeliver(d.eng.Now()+l.Delay, int32(l.To), pkt)
 }
 
 func (d *driver) deliverFinal(node int32, p *packet, pkt int32) {
@@ -317,8 +316,7 @@ func (d *driver) deliverFinal(node int32, p *packet, pkt int32) {
 
 // deliver fires when a forwarded packet reaches its next node after the
 // link delay; the buffer is re-checked at arrival time, not send time.
-func (d *driver) deliver(sti, pkt int32) {
-	node := sti - 1
+func (d *driver) deliver(node, pkt int32) {
 	p := &d.pkts[pkt]
 	d.obs.tick(d)
 	if !d.admit(node) {
@@ -330,7 +328,7 @@ func (d *driver) deliver(sti, pkt int32) {
 	}
 	p.path = append(p.path, node)
 	d.counts[node].In++
-	d.eng.ArrivePacketAt(d.nodeSt[node], d.svcLaw[node], int(p.class), pkt)
+	d.eng.ArrivePacketAt(node, d.topo.Nodes[node].Mu, int(p.class), pkt)
 }
 
 // Run simulates the ingress traffic over the topology.
@@ -354,6 +352,7 @@ func Run(t *Topology, ings []Ingress, cfg Config) *Result {
 		return errResult(t, haperr.Badf("net: at least one ingress is required"))
 	}
 	n := len(t.Nodes)
+	srcs := make([]sim.Source, len(ings))
 	for i, ing := range ings {
 		if ing.Node < 0 || ing.Node >= n {
 			return errResult(t, haperr.Badf("net: ingress %d node %d out of range [0,%d)", i, ing.Node, n))
@@ -367,13 +366,16 @@ func Run(t *Topology, ings []Ingress, cfg Config) *Result {
 		if ing.Make == nil {
 			return errResult(t, haperr.Badf("net: ingress %d has no source constructor", i))
 		}
+		src, err := ing.Make(dist.NewStreams(dist.SubSeed(cfg.Seed, i)).Next())
+		if err != nil {
+			return errResult(t, fmt.Errorf("net: ingress %d: %w", i, err))
+		}
+		srcs[i] = src
 	}
 
 	d := &driver{
 		topo:    t,
 		cfg:     cfg,
-		nodeSt:  make([]int32, n),
-		svcLaw:  make([]dist.Distribution, n),
 		routeRn: make([]*rand.Rand, n),
 		counts:  make([]NodeCounts, n),
 		maxHops: int32(cfg.MaxHops),
@@ -382,7 +384,7 @@ func Run(t *Topology, ings []Ingress, cfg Config) *Result {
 		d.maxHops = defaultMaxHops
 	}
 
-	eng := sim.NewEngine(cfg.Horizon, dist.NewStreams(cfg.Seed).Next(), nil)
+	eng := sim.NewEngine(cfg.Horizon)
 	d.eng = eng
 	if cfg.MaxEvents > 0 {
 		eng.SetMaxEvents(cfg.MaxEvents)
@@ -395,22 +397,18 @@ func Run(t *Topology, ings []Ingress, cfg Config) *Result {
 	for j := 0; j < n; j++ {
 		streams := dist.NewStreams(dist.SubSeed(cfg.Seed, -1-j))
 		perNode[j] = sim.NewMeasurements(cfg.Measure)
-		d.nodeSt[j] = eng.AddStation(streams.Next(), perNode[j], true)
+		eng.AddStation(streams.Next(), perNode[j]) // station j
 		d.routeRn[j] = streams.Next()
-		d.svcLaw[j] = dist.NewExponential(t.Nodes[j].Mu)
 		d.counts[j].Name = t.NodeName(j)
 	}
 	for i, ing := range ings {
-		alias := eng.AddStation(nil, nil, false)
+		alias := eng.AddStation(nil, nil)
 		node, dst := int32(ing.Node), int32(ing.Dst)
 		if ing.Dst < 0 {
 			dst = -1
 		}
-		eng.SetIngressHook(alias, func(svc dist.Distribution, class int) {
-			d.ingressArrive(node, dst, class)
-		})
-		src := ing.Make(dist.NewStreams(dist.SubSeed(cfg.Seed, i)).Next())
-		src.Install(eng, alias)
+		eng.SetIngressHook(alias, func(class int) { d.ingressArrive(node, dst, class) })
+		srcs[i].Install(eng, alias)
 	}
 	eng.SetPacketDoneHook(d.packetDone)
 	eng.SetDeliverHook(d.deliver)

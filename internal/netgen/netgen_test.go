@@ -2,12 +2,14 @@ package netgen
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"hap/internal/core"
+	"hap/internal/haperr"
 )
 
 func TestPacketRoundTrip(t *testing.T) {
@@ -78,8 +80,12 @@ func TestGeneratePoissonSchedule(t *testing.T) {
 	if math.Abs(s.MeanRate()-50)/50 > 0.05 {
 		t.Errorf("rate = %v", s.MeanRate())
 	}
-	if _, err := GeneratePoisson(-1, 10, 1); err == nil {
-		t.Error("negative rate accepted")
+	// A NaN rate would schedule arrivals at NaN times and an infinite one
+	// every arrival at t = 0, so neither run could reach its horizon.
+	for _, rate := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := GeneratePoisson(rate, 10, 1); !errors.Is(err, haperr.ErrBadParameter) {
+			t.Errorf("rate %v: err %v, want ErrBadParameter", rate, err)
+		}
 	}
 }
 

@@ -2,9 +2,11 @@ package netgen
 
 import (
 	"fmt"
+	"math"
 
 	"hap/internal/core"
 	"hap/internal/dist"
+	"hap/internal/haperr"
 	"hap/internal/sim"
 )
 
@@ -35,11 +37,10 @@ func GenerateHAP(m *core.Model, horizon float64, seed int64) (*Schedule, error) 
 
 // GeneratePoisson produces the equal-rate Poisson baseline schedule.
 func GeneratePoisson(rate, horizon float64, seed int64) (*Schedule, error) {
-	if rate <= 0 || horizon <= 0 {
-		return nil, fmt.Errorf("netgen: rate and horizon must be positive")
+	if !(rate > 0) || math.IsInf(rate, 1) || !(horizon > 0) {
+		return nil, haperr.Badf("netgen: rate must be positive and finite and horizon positive (got rate %v, horizon %v)", rate, horizon)
 	}
-	src := sim.NewPoissonSource(rate, dist.NewExponential(1), dist.NewStreams(seed).Next())
-	return generate(src, horizon, seed)
+	return generate(sim.NewPoissonSource(rate, 1, dist.NewStreams(seed).Next()), horizon, seed)
 }
 
 // GenerateOnOff produces a 2-level/ON-OFF schedule.
@@ -51,7 +52,7 @@ func GenerateOnOff(tl *core.TwoLevel, horizon float64, seed int64) (*Schedule, e
 }
 
 // generate runs src for horizon model seconds through sim.Run and keeps
-// the arrival instants. The queue serves at the source's own law, but the
+// the arrival instants. The queue serves at the source's own rate, but the
 // instants depend on the source's stream alone, never on service.
 func generate(src sim.Source, horizon float64, seed int64) (*Schedule, error) {
 	r := sim.Run(src, sim.Config{Horizon: horizon, Seed: seed, Measure: sim.MeasureConfig{KeepArrivalTimes: 1 << 26}})

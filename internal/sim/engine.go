@@ -16,13 +16,13 @@
 // counters (see table) instead of per-entity heap objects, which is what
 // lets a pending event name an entity without keeping a pointer alive.
 //
-// An engine hosts one or more stations — (queue, server, measurements)
-// triples. NewEngine creates station 0, which Run's single-queue sources
-// are installed on; the sharded aggregate runner (see sharded.go) gives
-// each source its own station on a shared engine, so hundreds of
-// independent source/queue systems cost one scheduler and one event loop
-// rather than one engine each. A source binds to its station explicitly,
-// through Source.Install.
+// An engine hosts stations — (queue, exponential server, measurements)
+// triples, each created by AddStation. Run adds one for its single
+// source; the sharded aggregate runner (see sharded.go) gives each source
+// its own station on a shared engine, so hundreds of independent
+// source/queue systems cost one scheduler and one event loop rather than
+// one engine each. A source binds to its station explicitly, through
+// Source.Install.
 package sim
 
 import (
@@ -122,18 +122,18 @@ func (t *table) ok(slot, gen int32) bool {
 	return t.live[slot] && t.gen[slot] == gen
 }
 
-// message is one queued message. pkt, when >= 0, is an opaque packet
-// handle owned by a network driver (see SetPacketDoneHook); plain
-// single-queue traffic carries -1.
+// message is one queued message, served at rate mu. pkt, when >= 0, is an
+// opaque packet handle owned by a network driver (see SetPacketDoneHook);
+// plain single-queue traffic carries -1. It holds no pointers, so the
+// queue is never scanned by the GC and a served slot needs no clearing.
 type message struct {
 	arrival float64
-	svc     dist.Distribution
+	mu      float64
 	class   int // message class index for per-class stats
 	pkt     int32
 }
 
-// station is one (FIFO queue, server, measurements) triple. Station 0 is
-// created by NewEngine; AddStation creates more for sharded aggregates.
+// station is one (FIFO queue, exponential server, measurements) triple.
 // A station's sample path depends only on its own arrival stream and its
 // own service stream, never on which other stations share the engine —
 // the independence that makes sharded runs bit-identical at any shard
@@ -145,11 +145,8 @@ type station struct {
 	queue []message
 	qhead int
 	busy  bool
-	rng   *rand.Rand // service-time stream
-	// batch, when non-nil, serves exponential service laws from a
-	// block-refilled reader over rng (see dist.ExpBatch); draw order is
-	// preserved, so enabling it changes no sample path as long as every
-	// service law on the station is exponential.
+	// batch reads the station's service stream: each service takes the
+	// next unit exponential divided by the message's rate.
 	batch      *dist.ExpBatch
 	meas       *Measurements
 	arrivals   int64
@@ -170,7 +167,7 @@ type station struct {
 	// re-inject them at the source's ingress node (see SetIngressHook).
 	// The station then acts as a pure tagging alias — its own queue and
 	// server are never used.
-	ingress func(svc dist.Distribution, class int)
+	ingress func(class int)
 }
 
 func (st *station) qlen() int { return len(st.queue) - st.qhead }
@@ -223,56 +220,34 @@ type Engine struct {
 	packetDone func(station, pkt int32, class int, sojourn float64)
 }
 
-// initialQueueCap pre-sizes station 0's message queue: large enough that
-// typical runs never grow it, small enough to be irrelevant for tiny ones.
-// The scheduler pre-sizes itself (see newSched).
-const initialQueueCap = 1 << 10
-
 // ctxPollMask sets the cancellation poll period: the context is checked
 // every 4096 events, cheap enough to be invisible in the allocation-free
 // hot loop yet prompt at the 10⁶–10⁸ events/s the engine sustains.
 const ctxPollMask = 1<<12 - 1
 
-// NewEngine creates an engine running to the given simulated horizon,
-// with the supplied service-time random stream feeding station 0.
-func NewEngine(horizon float64, rng *rand.Rand, meas *Measurements) *Engine {
+// NewEngine creates an engine, with no stations, running to the given
+// simulated horizon.
+func NewEngine(horizon float64) *Engine {
 	if horizon <= 0 {
 		panic("sim: horizon must be positive")
 	}
-	if meas == nil {
-		meas = NewMeasurements(MeasureConfig{})
-	}
-	e := &Engine{
+	return &Engine{
 		events:    newSched(),
 		horizon:   horizon,
 		maxEvents: 1 << 62,
 	}
-	e.stations = append(e.stations, station{
-		queue: make([]message, 0, initialQueueCap),
-		rng:   rng,
-		meas:  meas,
-	})
-	return e
 }
 
-// AddStation creates an independent (queue, server, measurements) triple
-// and returns its index for Source.Install. With batched true, exponential
-// service laws are served from a block-refilled draw buffer — the draw
-// order is preserved, so results are unchanged provided every service law
-// on the station is exponential (non-exponential laws fall back to direct
-// sampling, which then interleaves with the pre-read buffer and changes
-// the station's sample path versus an unbatched station; never enable
-// batching on stations with mixed service laws if that equivalence
-// matters).
-func (e *Engine) AddStation(rng *rand.Rand, meas *Measurements, batched bool) int32 {
+// AddStation creates an independent (queue, exponential server,
+// measurements) triple whose service times come from rng alone, and
+// returns its index for Source.Install. The stream is read in blocks (see
+// dist.ExpBatch), which preserves its draw order. A nil meas collects
+// with the default configuration.
+func (e *Engine) AddStation(rng *rand.Rand, meas *Measurements) int32 {
 	if meas == nil {
 		meas = NewMeasurements(MeasureConfig{})
 	}
-	st := station{rng: rng, meas: meas}
-	if batched {
-		st.batch = dist.NewExpBatch(rng)
-	}
-	e.stations = append(e.stations, st)
+	e.stations = append(e.stations, station{batch: dist.NewExpBatch(rng), meas: meas})
 	return int32(len(e.stations) - 1)
 }
 
@@ -470,27 +445,27 @@ func (e *Engine) totalQueueLen() int {
 // arriveInto delivers a message to the given station's queue. A station
 // with an ingress hook never queues: the hook owns the message and decides
 // where (and whether) it enters the network.
-func (e *Engine) arriveInto(sti int32, svc dist.Distribution, class int) {
+func (e *Engine) arriveInto(sti int32, mu float64, class int) {
 	st := &e.stations[sti]
 	if st.ingress != nil {
-		st.ingress(svc, class)
+		st.ingress(class)
 		return
 	}
-	e.enqueue(sti, svc, class, -1)
+	e.enqueue(sti, mu, class, -1)
 }
 
-// ArrivePacketAt delivers a network packet to the given station's queue at
-// the current clock, carrying the driver's packet handle through service so
-// the packet-done hook can route it onward.
-func (e *Engine) ArrivePacketAt(sti int32, svc dist.Distribution, class int, pkt int32) {
-	e.enqueue(sti, svc, class, pkt)
+// ArrivePacketAt delivers a network packet, to be served at rate mu, to the
+// given station's queue at the current clock, carrying the driver's packet
+// handle through service so the packet-done hook can route it onward.
+func (e *Engine) ArrivePacketAt(sti int32, mu float64, class int, pkt int32) {
+	e.enqueue(sti, mu, class, pkt)
 }
 
-func (e *Engine) enqueue(sti int32, svc dist.Distribution, class int, pkt int32) {
+func (e *Engine) enqueue(sti int32, mu float64, class int, pkt int32) {
 	e.arrivals++
 	st := &e.stations[sti]
 	st.arrivals++
-	st.queue = append(st.queue, message{arrival: e.now, svc: svc, class: class, pkt: pkt})
+	st.queue = append(st.queue, message{arrival: e.now, mu: mu, class: class, pkt: pkt})
 	st.meas.onArrival(e.now, st.qlen(), class)
 	if !st.busy {
 		e.startService(sti)
@@ -500,24 +475,12 @@ func (e *Engine) enqueue(sti int32, svc dist.Distribution, class int, pkt int32)
 func (e *Engine) startService(sti int32) {
 	st := &e.stations[sti]
 	st.busy = true
-	m := &st.queue[st.qhead]
-	var svcTime float64
-	if st.batch != nil {
-		if ex, ok := m.svc.(dist.Exponential); ok {
-			svcTime = st.batch.Exp() / ex.Lambda
-		} else {
-			svcTime = m.svc.Sample(st.rng)
-		}
-	} else {
-		svcTime = m.svc.Sample(st.rng)
-	}
-	e.scheduleEv(e.now+svcTime, evServiceDone, sti, 0, 0, 0)
+	e.scheduleEv(e.now+st.batch.Exp()/st.queue[st.qhead].mu, evServiceDone, sti, 0, 0, 0)
 }
 
 func (e *Engine) completeService(sti int32) {
 	st := &e.stations[sti]
 	m := st.queue[st.qhead]
-	st.queue[st.qhead] = message{} // release for GC
 	st.qhead++
 	// Compact once the dead prefix dominates.
 	if st.qhead > 64 && st.qhead*2 > len(st.queue) {
@@ -542,12 +505,13 @@ func (e *Engine) completeService(sti int32) {
 }
 
 // SetIngressHook turns the given station into a tagging alias: every
-// message a source bound to it emits is handed to f instead of queueing.
+// message a source bound to it emits is handed to f, with its class,
+// instead of queueing.
 // The network driver binds one alias station per external source, so the
 // hook's closure knows which source (and hence which ingress node and
 // destination) a message belongs to — information arriveInto alone cannot
 // carry.
-func (e *Engine) SetIngressHook(sti int32, f func(svc dist.Distribution, class int)) {
+func (e *Engine) SetIngressHook(sti int32, f func(class int)) {
 	e.stations[sti].ingress = f
 }
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"unsafe"
 
@@ -19,49 +18,54 @@ func TestEventSize(t *testing.T) {
 	}
 }
 
-// constDist is a degenerate service law for exact FIFO arithmetic.
-type constDist struct{ v float64 }
-
-func (d constDist) Sample(*rand.Rand) float64 { return d.v }
-func (d constDist) Mean() float64             { return d.v }
-func (d constDist) Var() float64              { return 0 }
-func (d constDist) String() string            { return "const" }
-
 // TestQueueCompactionPreservesFIFODelays is a regression test for the
 // sliding-window queue: a long busy period pushes qhead far past the
-// compaction threshold, and every measured delay must still equal the
-// exact FIFO value. Arrivals come in as typed packet deliveries, the same
-// path the network layer uses.
+// compaction threshold, and packets must still leave in arrival order
+// with exactly the sojourns of a Lindley replay of the same service
+// stream, each served at its own rate. Arrivals come in as typed packet
+// deliveries, the same path the network layer uses.
 func TestQueueCompactionPreservesFIFODelays(t *testing.T) {
 	const n = 500 // qhead crosses the >64, qhead*2>len(queue) threshold many times
+	mu := func(pkt int32) float64 { return 1 + float64(pkt%3)/2 }
 	meas := NewMeasurements(MeasureConfig{})
-	e := NewEngine(1e6, dist.NewStreams(1).Next(), meas)
-	var svc dist.Distribution = constDist{v: 1.0}
-	e.SetDeliverHook(func(st, pkt int32) { e.ArrivePacketAt(st, svc, 0, pkt) })
+	e := NewEngine(1e6)
+	st := e.AddStation(dist.NewStreams(1).Next(), meas)
+	e.SetDeliverHook(func(st, pkt int32) { e.ArrivePacketAt(st, mu(pkt), 0, pkt) })
+	var order []int32
+	var sojourns []float64
+	e.SetPacketDoneHook(func(_, pkt int32, _ int, sojourn float64) {
+		order = append(order, pkt)
+		sojourns = append(sojourns, sojourn)
+	})
 	// Burst of n arrivals 1 ms apart: the queue builds to ~n, then drains
-	// one departure per second, compacting repeatedly along the way.
+	// at ~1.4 departures per second, compacting along the way.
 	for i := 0; i < n; i++ {
-		e.ScheduleDeliver(float64(i)*0.001, 0, int32(i))
+		e.ScheduleDeliver(float64(i)*0.001, st, int32(i))
 	}
 	e.Run()
-	if e.Departures() != n {
-		t.Fatalf("departures = %d, want %d", e.Departures(), n)
+	if e.Departures() != n || len(order) != n {
+		t.Fatalf("departures = %d (%d hooked), want %d", e.Departures(), len(order), n)
 	}
-	if got := e.StationQueueLen(0); got != 0 {
+	if got := e.StationQueueLen(st); got != 0 {
 		t.Fatalf("queue not drained: %d", got)
 	}
-	// Exact FIFO: message i arrives at i·0.001, departs at i+1 (unit
-	// services back to back from t=0), so delay_i = (i+1) − i·0.001.
-	var sum float64
+	// Lindley replay over an identical stream: each packet starts service
+	// at max(its arrival, the previous departure).
+	rng := dist.NewStreams(1).Next()
+	var dep, sum float64
 	for i := 0; i < n; i++ {
-		sum += float64(i+1) - float64(i)*0.001
+		if order[i] != int32(i) {
+			t.Fatalf("departure %d is packet %d: FIFO order broken", i, order[i])
+		}
+		arr := float64(i) * 0.001
+		dep = math.Max(arr, dep) + rng.ExpFloat64()/mu(int32(i))
+		if sojourns[i] != dep-arr {
+			t.Fatalf("packet %d sojourn %v, want Lindley %v", i, sojourns[i], dep-arr)
+		}
+		sum += dep - arr
 	}
-	wantMean := sum / n
-	if got := meas.MeanDelay(); math.Abs(got-wantMean) > 1e-9 {
-		t.Fatalf("mean delay %v, want exact FIFO %v", got, wantMean)
-	}
-	if got := meas.Delays.Max(); math.Abs(got-(float64(n)-float64(n-1)*0.001)) > 1e-9 {
-		t.Fatalf("max delay %v inconsistent with FIFO order", got)
+	if got, want := meas.MeanDelay(), sum/n; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("mean delay %v, want %v", got, want)
 	}
 }
 

@@ -56,7 +56,8 @@ type RunResult struct {
 	Source  string
 }
 
-// Run executes one simulation of the given source. An invalid configuration
+// Run executes one simulation of the given source on a station of its own,
+// whose service stream derives from the seed. An invalid configuration
 // returns an empty result with Err set rather than panicking.
 func Run(src Source, cfg Config) *RunResult {
 	start := time.Now()
@@ -64,15 +65,14 @@ func Run(src Source, cfg Config) *RunResult {
 	if err := cfg.Validate(); err != nil {
 		return &RunResult{Meas: meas, Err: err, Source: src.String()}
 	}
-	streams := dist.NewStreams(cfg.Seed)
-	e := NewEngine(cfg.Horizon, streams.Next(), meas)
+	e := NewEngine(cfg.Horizon)
 	if cfg.MaxEvents > 0 {
 		e.SetMaxEvents(cfg.MaxEvents)
 	}
 	if cfg.Ctx != nil {
 		e.SetContext(cfg.Ctx)
 	}
-	src.Install(e, 0)
+	src.Install(e, e.AddStation(dist.NewStreams(cfg.Seed).Next(), meas))
 	e.Run()
 	return &RunResult{
 		Meas:       meas,
@@ -114,7 +114,7 @@ func RunPoisson(rate, muMsg float64, cfg Config) *RunResult {
 		return errResult(cfg, "poisson", haperr.Badf("sim: poisson rates must be positive and finite (rate=%v, μ=%v)", rate, muMsg))
 	}
 	streams := dist.NewStreams(cfg.Seed + 1)
-	src := NewPoissonSource(rate, dist.NewExponential(muMsg), streams.Next())
+	src := NewPoissonSource(rate, muMsg, streams.Next())
 	return Run(src, cfg)
 }
 

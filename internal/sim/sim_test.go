@@ -148,7 +148,7 @@ func TestOnOffClosedFormTightWhenZeroMassNegligible(t *testing.T) {
 func TestMMPPSourceTwoState(t *testing.T) {
 	m2 := mmpp.MMPP2{R0: 2, R1: 20, Q01: 0.02, Q10: 0.08}
 	streams := dist.NewStreams(13)
-	src := MMPP2Source(m2, dist.NewExponential(40), streams.Next())
+	src := MMPP2Source(m2, 40, streams.Next())
 	res := Run(src, Config{
 		Horizon: 300000, Seed: 13,
 		Measure: MeasureConfig{Warmup: 2000},
@@ -165,7 +165,7 @@ func TestMMPPSourceZeroRateState(t *testing.T) {
 	// An interrupted Poisson process (R0 = 0) must still generate traffic.
 	m2 := mmpp.MMPP2{R0: 0, R1: 10, Q01: 0.05, Q10: 0.05}
 	streams := dist.NewStreams(17)
-	src := MMPP2Source(m2, dist.NewExponential(20), streams.Next())
+	src := MMPP2Source(m2, 20, streams.Next())
 	res := Run(src, Config{Horizon: 100000, Seed: 17, Measure: MeasureConfig{Warmup: 500}})
 	wantClose(t, "rate", res.Meas.ObservedRate(), 5, 0.08)
 }
@@ -284,7 +284,7 @@ func TestReplicationsCI(t *testing.T) {
 }
 
 func TestEngineSchedulePastPanics(t *testing.T) {
-	e := NewEngine(10, dist.NewStreams(1).Next(), nil)
+	e := NewEngine(10)
 	fired := false
 	e.SetDeliverHook(func(st, pkt int32) {
 		fired = true
@@ -303,22 +303,28 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 }
 
 // TestEngineScheduleNaNPanics: a NaN event time must panic like a past
-// one. Let through, a jitter law sampling NaN sets the clock to NaN, which
-// is never past the horizon, and the run spins to its event budget; the
-// small budget here keeps a regression from hanging the test.
+// one. Let through, it pops, sets the clock to NaN, which is never past
+// the horizon, and the run spins to its event budget; the small budget
+// here keeps a regression from hanging the test.
 func TestEngineScheduleNaNPanics(t *testing.T) {
-	e := NewEngine(10, dist.NewStreams(1).Next(), nil)
+	e := NewEngine(10)
 	e.SetMaxEvents(1000)
-	src := NewCBRSource(1, dist.NewExponential(100), 0, dist.NewStreams(2).Next())
-	src.Jitter = constDist{v: math.NaN()}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("a NaN event time must panic; the run ended at now=%v after %d events",
-				e.Now(), e.Processed())
-		}
-	}()
-	src.Install(e, 0)
+	fired := false
+	e.SetDeliverHook(func(st, pkt int32) {
+		fired = true
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("a NaN event time must panic; the run is at now=%v after %d events",
+					e.Now(), e.Processed())
+			}
+		}()
+		e.scheduleEvAfter(math.NaN(), evNetDeliver, st, pkt, 0, 0)
+	})
+	e.ScheduleDeliver(1, 0, 0)
 	e.Run()
+	if !fired {
+		t.Fatal("the delivery at t=1 never fired")
+	}
 }
 
 func TestQBDCrossValidatesSimulation(t *testing.T) {

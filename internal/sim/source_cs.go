@@ -16,16 +16,12 @@ import (
 // queue; classes are numbered 2k (request) and 2k+1 (response) for
 // message type k in declaration order.
 //
-// Like HAPSource, users and applications live in slot tables and every
-// clock — including the triggered request/response continuations — is a
-// typed event, so the exchange machinery allocates nothing per message.
+// Like HAPSource, users and applications live in slot tables, starting at
+// their stationary populations, and every clock — including the
+// triggered request/response continuations — is a typed event, so the
+// exchange machinery allocates nothing per message.
 type CSSource struct {
-	Model           *core.CSModel
-	StartStationary bool
-	// ThinkTime, when non-nil, delays each triggered message by a sampled
-	// think/turnaround time (zero by default: the remote party reacts
-	// immediately).
-	ThinkTime dist.Distribution
+	Model *core.CSModel
 
 	rng       *rand.Rand
 	e         *Engine
@@ -33,8 +29,8 @@ type CSSource struct {
 	st        int32
 	users     table
 	apps      table
-	svcReq    []dist.Distribution
-	svcResp   []dist.Distribution
+	muReq     []float64 // service rate per flattened message type
+	muResp    []float64
 	pResp     []float64
 	pNext     []float64
 	openRate  []float64 // spontaneous opening rate λ'' per flattened type
@@ -46,12 +42,12 @@ func NewCSSource(m *core.CSModel, rng *rand.Rand) *CSSource {
 	if err := m.Validate(); err != nil {
 		panic(err)
 	}
-	s := &CSSource{Model: m, StartStationary: true, rng: rng}
+	s := &CSSource{Model: m, rng: rng}
 	for _, a := range m.Apps {
-		s.typeStart = append(s.typeStart, len(s.svcReq))
+		s.typeStart = append(s.typeStart, len(s.muReq))
 		for _, msg := range a.Messages {
-			s.svcReq = append(s.svcReq, dist.NewExponential(msg.MuReq))
-			s.svcResp = append(s.svcResp, dist.NewExponential(msg.MuResp))
+			s.muReq = append(s.muReq, msg.MuReq)
+			s.muResp = append(s.muResp, msg.MuResp)
 			s.pResp = append(s.pResp, msg.PResp)
 			s.pNext = append(s.pNext, msg.PNext)
 			s.openRate = append(s.openRate, msg.Lambda)
@@ -61,7 +57,7 @@ func NewCSSource(m *core.CSModel, rng *rand.Rand) *CSSource {
 }
 
 // ClassCount returns the number of message classes (2 per message type).
-func (s *CSSource) ClassCount() int { return 2 * len(s.svcReq) }
+func (s *CSSource) ClassCount() int { return 2 * len(s.muReq) }
 
 func (s *CSSource) String() string { return fmt.Sprintf("hap-cs(%s)", s.Model.Name) }
 
@@ -72,11 +68,8 @@ func (s *CSSource) Install(e *Engine, st int32) {
 	s.id = e.registerCS(s)
 	s.st = st
 	e.stations[st].served = s.onServed
-	if s.StartStationary {
-		nu := s.Model.Nu()
-		for k := 0; k < dist.PoissonSample(s.rng, nu); k++ {
-			s.addUser()
-		}
+	for k := 0; k < dist.PoissonSample(s.rng, s.Model.Nu()); k++ {
+		s.addUser()
 	}
 	e.scheduleEvAfter(s.rng.ExpFloat64()/s.Model.Lambda, evCSUserArrive, s.id, 0, 0, 0)
 }
@@ -148,11 +141,11 @@ func (s *CSSource) open(slot, gen, k int32) {
 }
 
 func (s *CSSource) sendRequest(k int32) {
-	s.e.arriveInto(s.st, s.svcReq[k], int(2*k))
+	s.e.arriveInto(s.st, s.muReq[k], int(2*k))
 }
 
 func (s *CSSource) sendResponse(k int32) {
-	s.e.arriveInto(s.st, s.svcResp[k], int(2*k+1))
+	s.e.arriveInto(s.st, s.muResp[k], int(2*k+1))
 }
 
 // onServed continues the exchange: served request → maybe response;
@@ -177,13 +170,9 @@ func (s *CSSource) onServed(class int) {
 	}
 }
 
-// after schedules a triggered message. With no think time the delay is
-// zero — scheduled rather than delivered inline so the engine finishes the
-// current completion (queue pop, stats) first.
+// after schedules a triggered message at the current instant — the remote
+// party reacts immediately — rather than delivering it inline, so the
+// engine finishes the current completion (queue pop, stats) first.
 func (s *CSSource) after(kind eventKind, k int32) {
-	var d float64
-	if s.ThinkTime != nil {
-		d = s.ThinkTime.Sample(s.rng)
-	}
-	s.e.scheduleEvAfter(d, kind, s.id, k, 0, 0)
+	s.e.scheduleEv(s.e.now, kind, s.id, k, 0, 0)
 }

@@ -3,61 +3,53 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
-
-	"hap/internal/dist"
 )
 
-// CBRSource emits messages with deterministic spacing — the "real-time
-// application like voice" of the paper's Section 6 multiplexing
-// discussion. Jitter, when non-nil, perturbs each interval (e.g. a small
-// uniform dither); Phase offsets the first emission.
+// CBRSource emits a message every Interval seconds, served at rate Mu —
+// the "real-time application like voice" of the paper's Section 6
+// multiplexing discussion. It draws no randomness.
 type CBRSource struct {
 	Interval float64
-	Svc      dist.Distribution
+	Mu       float64
 	Class    int
-	Phase    float64
-	Jitter   dist.Distribution
 
-	rng *rand.Rand
-	e   *Engine
-	id  int32
-	st  int32
+	e  *Engine
+	id int32
+	st int32
 }
 
-// NewCBRSource builds a constant-rate source with one message every
-// interval seconds; the interval must be positive and finite.
-func NewCBRSource(interval float64, svc dist.Distribution, class int, rng *rand.Rand) *CBRSource {
-	if !(interval > 0) || math.IsInf(interval, 1) {
-		panic("sim: CBR interval must be positive and finite")
-	}
-	return &CBRSource{Interval: interval, Svc: svc, Class: class, rng: rng}
+// NewCBRSource builds a constant-rate source with one message of the given
+// class every interval seconds; the interval and the service rate must be
+// positive and finite.
+func NewCBRSource(interval, mu float64, class int) *CBRSource {
+	checkPositive("CBR interval", interval)
+	checkPositive("service rate", mu)
+	return &CBRSource{Interval: interval, Mu: mu, Class: class}
 }
 
 func (s *CBRSource) String() string { return fmt.Sprintf("cbr(interval=%g)", s.Interval) }
 
-// Install schedules the first emission.
+// Install schedules the first emission, one interval in.
 func (s *CBRSource) Install(e *Engine, st int32) {
 	s.e = e
 	s.id = e.registerCBR(s)
 	s.st = st
-	e.scheduleEvAfter(s.Phase+s.nextGap(), evCBREmit, s.id, 0, 0, 0)
-}
-
-func (s *CBRSource) nextGap() float64 {
-	g := s.Interval
-	if s.Jitter != nil {
-		g += s.Jitter.Sample(s.rng)
-		if g < 0 {
-			g = 0
-		}
-	}
-	return g
+	e.scheduleEvAfter(s.Interval, evCBREmit, s.id, 0, 0, 0)
 }
 
 func (s *CBRSource) emit() {
-	s.e.arriveInto(s.st, s.Svc, s.Class)
-	s.e.scheduleEvAfter(s.nextGap(), evCBREmit, s.id, 0, 0, 0)
+	s.e.arriveInto(s.st, s.Mu, s.Class)
+	s.e.scheduleEvAfter(s.Interval, evCBREmit, s.id, 0, 0, 0)
+}
+
+// checkPositive panics unless v is positive and finite. A NaN rate or
+// interval schedules events at NaN times, and a zero interval or an
+// infinite rate schedules every event at one instant: either way the run
+// never reaches its horizon.
+func checkPositive(what string, v float64) {
+	if !(v > 0) || math.IsInf(v, 1) {
+		panic(fmt.Sprintf("sim: %s must be positive and finite (got %v)", what, v))
+	}
 }
 
 // Multi bundles several sources into one: installing it installs all of

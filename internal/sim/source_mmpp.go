@@ -4,21 +4,18 @@ import (
 	"fmt"
 	"math/rand"
 
-	"hap/internal/dist"
 	"hap/internal/mmpp"
 )
 
 // MMPPSource simulates an arbitrary Markov-modulated Poisson process: the
 // modulating chain moves between states, and in state s messages arrive
-// Poisson(rate_s). A generation counter carried in the event payload
-// lazily cancels the arrival clock on every state change.
+// Poisson(rate_s), each served at rate Mu. The initial state is drawn from
+// the chain's stationary law (state 0 when that law cannot be solved). A
+// generation counter carried in the event payload lazily cancels the
+// arrival clock on every state change.
 type MMPPSource struct {
 	Proc *mmpp.MMPP
-	Svc  dist.Distribution
-	// Start is the initial modulator state (default 0). Use
-	// StartStationary to draw it from the stationary law instead.
-	Start           int
-	StartStationary bool
+	Mu   float64
 
 	rng   *rand.Rand
 	e     *Engine
@@ -28,9 +25,11 @@ type MMPPSource struct {
 	gen   int32
 }
 
-// NewMMPPSource builds an MMPP source.
-func NewMMPPSource(proc *mmpp.MMPP, svc dist.Distribution, rng *rand.Rand) *MMPPSource {
-	return &MMPPSource{Proc: proc, Svc: svc, rng: rng}
+// NewMMPPSource builds an MMPP source; the service rate must be positive
+// and finite.
+func NewMMPPSource(proc *mmpp.MMPP, mu float64, rng *rand.Rand) *MMPPSource {
+	checkPositive("service rate", mu)
+	return &MMPPSource{Proc: proc, Mu: mu, rng: rng}
 }
 
 func (s *MMPPSource) String() string {
@@ -42,17 +41,14 @@ func (s *MMPPSource) Install(e *Engine, st int32) {
 	s.e = e
 	s.id = e.registerMMPP(s)
 	s.st = st
-	s.state = s.Start
-	if s.StartStationary {
-		if pi, err := s.Proc.Stationary(); err == nil {
-			u := s.rng.Float64()
-			var c float64
-			for i, p := range pi {
-				c += p
-				if u <= c {
-					s.state = i
-					break
-				}
+	if pi, err := s.Proc.Stationary(); err == nil {
+		u := s.rng.Float64()
+		var c float64
+		for i, p := range pi {
+			c += p
+			if u <= c {
+				s.state = i
+				break
 			}
 		}
 	}
@@ -102,13 +98,11 @@ func (s *MMPPSource) arrive(gen int32) {
 	if gen != s.gen {
 		return
 	}
-	s.e.arriveInto(s.st, s.Svc, 0)
+	s.e.arriveInto(s.st, s.Mu, 0)
 	s.scheduleArrival()
 }
 
 // MMPP2Source builds an MMPPSource from the 2-state comparator.
-func MMPP2Source(m2 mmpp.MMPP2, svc dist.Distribution, rng *rand.Rand) *MMPPSource {
-	src := NewMMPPSource(m2.General(), svc, rng)
-	src.StartStationary = true
-	return src
+func MMPP2Source(m2 mmpp.MMPP2, mu float64, rng *rand.Rand) *MMPPSource {
+	return NewMMPPSource(m2.General(), mu, rng)
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"hap/internal/core"
-	"hap/internal/dist"
 	"hap/internal/gm1"
 	"hap/internal/markov"
 	"hap/internal/mmpp"
@@ -99,7 +98,7 @@ func TestQBDMatchesSimulationMMPP2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simRes := sim.Run(sim.MMPP2Source(m2, expDist(40), newRng(3)), sim.Config{
+	simRes := sim.Run(sim.MMPP2Source(m2, 40, newRng(3)), sim.Config{
 		Horizon: 400000, Seed: 3,
 		Measure: sim.MeasureConfig{Warmup: 2000},
 	})
@@ -334,7 +333,5 @@ func mustDelay(t *testing.T, m *core.Model) float64 {
 	}
 	return r.Delay
 }
-
-func expDist(rate float64) dist.Distribution { return dist.NewExponential(rate) }
 
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -55,6 +55,25 @@ func TestFacadeNoPanicOnAdversarialParams(t *testing.T) {
 		return hap.SimulateCS(&hap.CSModel{}, hap.SimConfig{Horizon: 100}).Err
 	})
 	topo := hap.NetTandem("rows", []float64{10}, 0)
+	for _, tc := range []struct {
+		name string
+		ing  hap.NetIngress
+	}{
+		{"poisson-rate=0", hap.NetPoissonIngress(0, 0, -1)},
+		{"poisson-rate=NaN", hap.NetPoissonIngress(nan, 0, -1)},
+		{"poisson-rate=+Inf", hap.NetPoissonIngress(inf, 0, -1)},
+		{"hap-invalid-model", hap.NetHAPIngress(models["zero-mu"], 0, -1)},
+		{"onoff-invalid-model", hap.NetOnOffIngress(&hap.TwoLevel{}, 0, -1)},
+	} {
+		name := "simulate-network/" + tc.name
+		noPanic(t, name, func() error {
+			// The event budget ends a run whose source schedules every
+			// arrival at t = 0 instead of rejecting its rate.
+			err := hap.SimulateNetwork(topo, []hap.NetIngress{tc.ing}, hap.NetConfig{Horizon: 100, Seed: 1, MaxEvents: 10000}).Err
+			wantBadParameter(t, name, err)
+			return err
+		})
+	}
 	ings := []hap.NetIngress{hap.NetPoissonIngress(1, 0, -1)}
 	for _, n := range []int{0, -3} {
 		n := n

@@ -361,12 +361,17 @@ func pollDecision(url string, streams int) error {
 // must not change.
 var hapnetStats = []string{"topology ", "events ", "end-to-end sojourn", "edge", "bottleneck"}
 
-// netRow: a Poisson-fed tandem conserves packets end to end, a
-// replicated fan-in prints the same statistics at -parallel 1 and 4, and
-// a fan-in under -metrics serves the hap_net_* families with forwarded
-// and delivered counters that move.
+// netRow: a Poisson-fed tandem conserves packets end to end, a zero or
+// NaN Poisson rate is a usage error, a replicated fan-in prints the same
+// statistics at -parallel 1 and 4, and a fan-in under -metrics serves the
+// hap_net_* families with forwarded and delivered counters that move.
 func netRow(dir string) error {
 	hapnet := filepath.Join(dir, "hapnet")
+	for _, rate := range []string{"0", "NaN"} {
+		if err := usageError(hapnet, "-topo", "tandem", "-source", "poisson", "-rate", rate); err != nil {
+			return err
+		}
+	}
 	report := filepath.Join(dir, "tandem.json")
 	if _, err := output(hapnet, "-topo", "tandem", "-nodes", "3", "-mu", "12",
 		"-source", "poisson", "-rate", "8",
@@ -649,6 +654,24 @@ func output(bin string, args ...string) (string, error) {
 		return "", fmt.Errorf("%s %s: %w\n%s", filepath.Base(bin), strings.Join(args, " "), err, out)
 	}
 	return string(out), nil
+}
+
+// usageError runs bin expecting a usage error: exit status 2 and a
+// one-line message on stderr. Go's runtime also exits 2 on a panic, so a
+// "panic:" on stderr fails the check too.
+func usageError(bin string, args ...string) error {
+	cmd := exec.Command(bin, args...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	msg := strings.TrimSpace(stderr.String())
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+		msg == "" || strings.Contains(msg, "\n") || strings.Contains(msg, "panic:") {
+		return fmt.Errorf("%s %s: %v; want exit status 2 with a one-line message, stderr:\n%s",
+			filepath.Base(bin), strings.Join(args, " "), err, msg)
+	}
+	return nil
 }
 
 // sameStats runs bin with args plus flag a and again with flag b, and

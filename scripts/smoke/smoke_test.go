@@ -164,3 +164,21 @@ func TestCheckTandem(t *testing.T) {
 		}
 	}
 }
+
+func TestUsageError(t *testing.T) {
+	sh := func(script string) error { return usageError("/bin/sh", "-c", script) }
+	if err := sh("echo 'bad rate' >&2; exit 2"); err != nil {
+		t.Error(err)
+	}
+	for name, script := range map[string]string{
+		"exit 0":     "echo 'bad rate' >&2",
+		"exit 1":     "echo 'bad rate' >&2; exit 1",
+		"silent":     "exit 2",
+		"two lines":  "printf 'bad\\nrate\\n' >&2; exit 2",
+		"Go's panic": "echo 'panic: bad rate' >&2; exit 2",
+	} {
+		if err := sh(script); err == nil {
+			t.Errorf("%s: passed as a usage error", name)
+		}
+	}
+}
