@@ -99,7 +99,8 @@ func TestQBDMarginalIsModulatorLaw(t *testing.T) {
 
 // TestSolution0MGPaperE1 pins E1's exact delay: the matrix-geometric
 // solve at P0 with the (x, y) modulator bounded at 8 users and 48
-// applications.
+// applications. Besides the printed figure it pins the bits of the delay
+// and σ (see checkSolveBits).
 func TestSolution0MGPaperE1(t *testing.T) {
 	res, err := Solution0MG(core.PaperParams(20), &Options{MaxUsers: 8, MaxApps: 48})
 	if err != nil {
@@ -107,5 +108,42 @@ func TestSolution0MGPaperE1(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%.4g", res.Delay); got != "0.09311" || res.States != 441 {
 		t.Errorf("delay %.7g over %d phases, want 0.09311 over 441", res.Delay, res.States)
+	}
+	checkSolveBits(t, res, 0x3fb7d6449558ac00, 0x3fdb7bdd55fccaa8)
+}
+
+// TestSolveMMPPQueueGoldenBits pins the bits of a small matrix-geometric
+// solve whose 91 phases are not a multiple of four, so every linalg
+// kernel call in it also runs the three-element tail and leftover rows.
+// These bounds were chosen because their delay and σ move when either the
+// vector part or the tail of the kernel rounds differently.
+func TestSolveMMPPQueueGoldenBits(t *testing.T) {
+	m := fastModel()
+	proc, _, err := mmpp.FromHAPSimplified(m, 6, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu, _ := m.UniformServiceRate()
+	res, err := SolveMMPPQueue(proc, mu, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.States != 91 {
+		t.Fatalf("%d phases, want 91", res.States)
+	}
+	checkSolveBits(t, res, 0x3fa437befa094331, 0x3fd9c7f2ef9d8894)
+}
+
+// checkSolveBits compares a solve's delay and σ bit for bit. Like the
+// sample-path pins at the module root, the bits hold on linux/amd64 at the
+// default GOAMD64=v1; targets that fuse multiply-adds (arm64,
+// GOAMD64=v3) may round differently.
+func checkSolveBits(t *testing.T, res Result, delay, sigma uint64) {
+	t.Helper()
+	if got := math.Float64bits(res.Delay); got != delay {
+		t.Errorf("delay bits %#x (%v), want %#x (%v)", got, res.Delay, delay, math.Float64frombits(delay))
+	}
+	if got := math.Float64bits(res.Sigma); got != sigma {
+		t.Errorf("σ bits %#x (%v), want %#x (%v)", got, res.Sigma, sigma, math.Float64frombits(sigma))
 	}
 }
