@@ -24,8 +24,11 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# vet also cross-compiles for arm64, so the portable path beside linalg's
+# amd64 assembly keeps building (vet needs no arm64 toolchain or network).
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 race:
 	$(GO) test -race ./internal/par ./internal/sim ./internal/obs ./internal/ctrl ./internal/netgen ./internal/net
@@ -77,12 +80,13 @@ net-smoke:
 
 # bench-smoke compiles and runs one iteration of the simulator benchmark
 # and of the layer benchmarks: the scheduler's hold model at one source's
-# and 128 sources' pending sizes, the 441×441 linalg kernels (GFLOP/s)
+# and 128 sources' pending sizes, the 441×441 linalg kernels (GFLOP/s),
+# the exact P0 queue solve they serve (s/op, log-reduction iterations)
 # and the P0 modulator's stationary solve (states/s).
 bench-smoke:
 	$(GO) test -bench=SimulatorHAP -benchtime=1x -run '^$$' .
 	$(GO) test -bench=SchedHold -benchtime=1x -run '^$$' ./internal/sim
-	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/linalg ./internal/markov
+	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/linalg ./internal/solver ./internal/markov
 
 # hapbench runs one workload of the benchmark of record (hapbench/NOTES.md)
 # through hapbench/run.sh, which builds hapbench and hapd into
