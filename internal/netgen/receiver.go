@@ -61,6 +61,13 @@ type Sink struct {
 	SlowCallback time.Duration
 }
 
+// sinkReadBuffer is the receive buffer a sink asks the kernel for, in
+// bytes. At Linux's default (212,992 bytes) a socket that is not being
+// read holds only ~256 small loopback datagrams, so a sink busy between
+// reads loses most of a burst; 4 MiB holds thousands. The kernel caps the
+// request at net.core.rmem_max.
+const sinkReadBuffer = 4 << 20
+
 // NewSink listens on addr ("127.0.0.1:0" picks a free port).
 func NewSink(addr string) (*Sink, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
@@ -71,6 +78,9 @@ func NewSink(addr string) (*Sink, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netgen: listen %s: %w", addr, err)
 	}
+	// A socket left at the default buffer still receives; the request
+	// only saves bursts, so a refusal is not an error.
+	_ = conn.SetReadBuffer(sinkReadBuffer)
 	return &Sink{conn: conn}, nil
 }
 
