@@ -59,9 +59,9 @@ func generate(src sim.Source, horizon float64, seed int64) (*Schedule, error) {
 	if r.Err != nil {
 		return nil, r.Err
 	}
-	s := &Schedule{Horizon: horizon}
-	for _, t := range r.Meas.Arrivals {
-		s.Arrivals = append(s.Arrivals, Arrival{T: t})
+	s := &Schedule{Arrivals: make([]Arrival, len(r.Meas.Arrivals)), Horizon: horizon}
+	for i, t := range r.Meas.Arrivals {
+		s.Arrivals[i].T = t
 	}
 	return s, nil
 }
