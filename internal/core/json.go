@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 )
-
-func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
 
 // This file provides JSON (de)serialisation for models so the command-line
 // tools can work with arbitrary asymmetric HAPs, not just the symmetric
@@ -35,28 +32,10 @@ func LoadModel(path string) (*Model, error) {
 // ParseModel decodes and validates a JSON model.
 func ParseModel(b []byte) (*Model, error) {
 	var m Model
-	dec := json.NewDecoder(bytesReader(b))
+	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
 		return nil, fmt.Errorf("core: parse model: %w", err)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-// LoadCSModel reads an HAP-CS model from a JSON file and validates it.
-func LoadCSModel(path string) (*CSModel, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: read cs model: %w", err)
-	}
-	var m CSModel
-	dec := json.NewDecoder(bytesReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&m); err != nil {
-		return nil, fmt.Errorf("core: parse cs model: %w", err)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err

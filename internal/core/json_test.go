@@ -1,7 +1,6 @@
 package core
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -40,36 +39,4 @@ func TestLoadModelMissingFile(t *testing.T) {
 		!strings.Contains(err.Error(), "read model") {
 		t.Errorf("unexpected error: %v", err)
 	}
-}
-
-func TestLoadCSModel(t *testing.T) {
-	cs := RloginCS()
-	path := filepath.Join(t.TempDir(), "cs.json")
-	// Write via generic marshal (CSModel has no MarshalJSONFile helper).
-	m := &Model{Name: "x", Lambda: 1, Mu: 1, Apps: []AppType{{Lambda: 1, Mu: 1,
-		Messages: []MessageType{{Lambda: 1, Mu: 1}}}}}
-	_ = m
-	b := []byte(`{
-		"Name": "cs",
-		"Lambda": 0.005, "Mu": 0.001,
-		"Apps": [{
-			"Name": "rlogin", "Lambda": 0.01, "Mu": 0.01,
-			"Messages": [{"Name": "cmd", "Lambda": 0.05, "MuReq": 40, "MuResp": 25, "PResp": 0.9, "PNext": 0.5}]
-		}]
-	}`)
-	if err := writeFile(path, b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCSModel(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Apps[0].Messages[0].PResp != 0.9 {
-		t.Error("cs fields lost")
-	}
-	_ = cs
-}
-
-func writeFile(path string, b []byte) error {
-	return os.WriteFile(path, b, 0o644)
 }

@@ -62,26 +62,6 @@ func TestProbeScanStopsAtFirstNegative(t *testing.T) {
 	}
 }
 
-func TestMD1MG1UnstableAndInvalid(t *testing.T) {
-	if d := MD1Delay(10, 10); !math.IsInf(d, 1) {
-		t.Errorf("MD1Delay at rho=1 = %v, want +Inf", d)
-	}
-	if d := MD1Delay(12, 10); !math.IsInf(d, 1) {
-		t.Errorf("MD1Delay at rho>1 = %v, want +Inf", d)
-	}
-	if d := MG1Delay(12, 10, 1); !math.IsInf(d, 1) {
-		t.Errorf("MG1Delay at rho>1 = %v, want +Inf", d)
-	}
-	for _, bad := range [][3]float64{
-		{-1, 10, 0}, {0, 10, 0}, {5, -1, 0}, {5, 0, 0}, {5, 10, -1},
-		{math.NaN(), 10, 0}, {5, math.NaN(), 0}, {5, 10, math.NaN()},
-	} {
-		if d := MG1Delay(bad[0], bad[1], bad[2]); !math.IsNaN(d) {
-			t.Errorf("MG1Delay(%v) = %v, want NaN", bad, d)
-		}
-	}
-}
-
 // A degenerate transform A*(s) = 1 drives the paper's averaging iteration
 // onto the trivial fixed point σ = 1. The old code silently clamped σ to
 // 1−1e-12 and reported a near-infinite delay; it must now refuse with

@@ -369,26 +369,3 @@ func MM1(lambda, mu float64) (Result, error) {
 		Converged: true,
 	}, nil
 }
-
-// MD1Delay returns the mean sojourn time of the M/D/1 queue by
-// Pollaczek–Khinchine with deterministic service (SCV 0), an extra
-// baseline for the discussion sections. Unstable inputs (ρ >= 1) yield
-// +Inf — the PK formula's pole would otherwise return a negative "delay" —
-// and invalid rates yield NaN.
-func MD1Delay(lambda, mu float64) float64 {
-	return MG1Delay(lambda, mu, 0)
-}
-
-// MG1Delay returns the Pollaczek–Khinchine mean sojourn time for general
-// service with the given squared coefficient of variation. ρ >= 1 yields
-// +Inf; invalid rates or scv yield NaN.
-func MG1Delay(lambda, mu, scv float64) float64 {
-	if !(lambda > 0) || !(mu > 0) || !(scv >= 0) {
-		return math.NaN()
-	}
-	rho := lambda / mu
-	if rho >= 1 {
-		return math.Inf(1)
-	}
-	return 1/mu + rho*(1+scv)/(2*mu*(1-rho))
-}

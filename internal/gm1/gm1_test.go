@@ -136,17 +136,6 @@ func TestMM1MatchesSolve(t *testing.T) {
 	wantClose(t, "delay value", closed.Delay, 0.0851, 2e-3) // paper: 0.085
 }
 
-func TestMD1BelowMM1(t *testing.T) {
-	lambda, mu := 5.0, 10.0
-	if MD1Delay(lambda, mu) >= MM1Delay(lambda, mu) {
-		t.Error("M/D/1 must beat M/M/1")
-	}
-	wantClose(t, "MG1 scv=1 is MM1", MG1Delay(lambda, mu, 1), MM1Delay(lambda, mu), 1e-12)
-	wantClose(t, "MG1 scv=0 is MD1", MG1Delay(lambda, mu, 0), MD1Delay(lambda, mu), 1e-12)
-}
-
-func MM1Delay(lambda, mu float64) float64 { r, _ := MM1(lambda, mu); return r.Delay }
-
 // Property: for hyperexponential interarrivals with random mixtures, σ is
 // in (0,1), the fixed point is satisfied, and delay exceeds the service
 // time.

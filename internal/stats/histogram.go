@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -178,25 +177,4 @@ func (h *Histogram) String() string {
 		fmt.Fprintf(&b, "%10.4g %8d %s\n", h.Center(i), c, bar)
 	}
 	return b.String()
-}
-
-// Quantiles computes exact sample quantiles of data (which it sorts in
-// place) for each probability in ps.
-func Quantiles(data []float64, ps ...float64) []float64 {
-	sort.Float64s(data)
-	out := make([]float64, len(ps))
-	for k, p := range ps {
-		if len(data) == 0 {
-			continue
-		}
-		pos := p * float64(len(data)-1)
-		i := int(math.Floor(pos))
-		frac := pos - float64(i)
-		if i+1 < len(data) {
-			out[k] = data[i]*(1-frac) + data[i+1]*frac
-		} else {
-			out[k] = data[len(data)-1]
-		}
-	}
-	return out
 }

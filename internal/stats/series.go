@@ -2,43 +2,6 @@ package stats
 
 import "math"
 
-// Autocorrelation returns the lag-k autocorrelation estimates of xs for
-// k = 0..maxLag. Correlated interarrival sequences are the mechanism behind
-// HAP's burstiness; the paper notes Solutions 1 and 2 destroy exactly this
-// correlation.
-func Autocorrelation(xs []float64, maxLag int) []float64 {
-	n := len(xs)
-	if maxLag >= n {
-		maxLag = n - 1
-	}
-	if maxLag < 0 {
-		return nil
-	}
-	var mean float64
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(n)
-	var c0 float64
-	for _, x := range xs {
-		d := x - mean
-		c0 += d * d
-	}
-	out := make([]float64, maxLag+1)
-	if c0 == 0 {
-		out[0] = 1
-		return out
-	}
-	for k := 0; k <= maxLag; k++ {
-		var ck float64
-		for i := 0; i+k < n; i++ {
-			ck += (xs[i] - mean) * (xs[i+k] - mean)
-		}
-		out[k] = ck / c0
-	}
-	return out
-}
-
 // IDC estimates the index of dispersion for counts of a point process whose
 // event times are ts (sorted), at window length win: Var(N(win))/E[N(win)].
 // A Poisson process has IDC 1 at every window; HAP's IDC grows with the
@@ -69,58 +32,6 @@ func IDC(ts []float64, win float64) float64 {
 		return 0
 	}
 	return w.Var() / w.Mean()
-}
-
-// IDCCurve evaluates IDC at each window in wins.
-func IDCCurve(ts []float64, wins []float64) []float64 {
-	out := make([]float64, len(wins))
-	for i, w := range wins {
-		out[i] = IDC(ts, w)
-	}
-	return out
-}
-
-// PeakToMean returns max/mean of a series, a crude burstiness indicator.
-func PeakToMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum, max float64
-	for _, x := range xs {
-		sum += x
-		if x > max {
-			max = x
-		}
-	}
-	mean := sum / float64(len(xs))
-	if mean == 0 {
-		return 0
-	}
-	return max / mean
-}
-
-// BatchMeans estimates a confidence half-width for the mean of a correlated
-// stationary series by the method of batch means with nbatch batches. It
-// returns the grand mean and the half-width at ~95% confidence (normal
-// approximation; appropriate for nbatch >= 20).
-func BatchMeans(xs []float64, nbatch int) (mean, halfWidth float64) {
-	if nbatch < 2 || len(xs) < nbatch {
-		var w Welford
-		for _, x := range xs {
-			w.Add(x)
-		}
-		return w.Mean(), math.Inf(1)
-	}
-	size := len(xs) / nbatch
-	var bw Welford
-	for b := 0; b < nbatch; b++ {
-		var s float64
-		for i := b * size; i < (b+1)*size; i++ {
-			s += xs[i]
-		}
-		bw.Add(s / float64(size))
-	}
-	return bw.Mean(), bw.HalfWidth95()
 }
 
 // RunningMean records the cumulative running mean of a stream at a bounded

@@ -130,50 +130,6 @@ func TestHistogramOutOfRange(t *testing.T) {
 	}
 }
 
-func TestQuantilesExact(t *testing.T) {
-	qs := Quantiles([]float64{5, 1, 3, 2, 4}, 0, 0.5, 1)
-	wantClose(t, "min", qs[0], 1, 0)
-	wantClose(t, "median", qs[1], 3, 0)
-	wantClose(t, "max", qs[2], 5, 0)
-}
-
-func TestAutocorrelationWhiteNoise(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	xs := make([]float64, 20000)
-	for i := range xs {
-		xs[i] = r.NormFloat64()
-	}
-	ac := Autocorrelation(xs, 5)
-	wantClose(t, "lag0", ac[0], 1, 1e-12)
-	for k := 1; k <= 5; k++ {
-		if math.Abs(ac[k]) > 0.03 {
-			t.Errorf("lag%d = %v, want ~0", k, ac[k])
-		}
-	}
-}
-
-func TestAutocorrelationAR1(t *testing.T) {
-	r := rand.New(rand.NewSource(10))
-	const phi = 0.8
-	xs := make([]float64, 50000)
-	for i := 1; i < len(xs); i++ {
-		xs[i] = phi*xs[i-1] + r.NormFloat64()
-	}
-	ac := Autocorrelation(xs, 3)
-	wantClose(t, "lag1", ac[1], phi, 0.03)
-	wantClose(t, "lag2", ac[2], phi*phi, 0.04)
-}
-
-func TestAutocorrelationDegenerate(t *testing.T) {
-	ac := Autocorrelation([]float64{2, 2, 2}, 2)
-	if ac[0] != 1 {
-		t.Error("constant series lag0 must be 1 by convention")
-	}
-	if Autocorrelation(nil, 3) != nil {
-		t.Error("empty series should return nil")
-	}
-}
-
 func TestIDCPoissonIsOne(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	var ts []float64
@@ -214,25 +170,6 @@ func TestIDCModulatedExceedsOne(t *testing.T) {
 func TestIDCEdgeCases(t *testing.T) {
 	if IDC(nil, 1) != 0 || IDC([]float64{1}, 0) != 0 || IDC([]float64{1, 2}, 100) != 0 {
 		t.Error("degenerate IDC should be 0")
-	}
-}
-
-func TestBatchMeansCoversTrueMean(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	xs := make([]float64, 40000)
-	for i := range xs {
-		xs[i] = 3 + r.NormFloat64()
-	}
-	mean, hw := BatchMeans(xs, 40)
-	if math.Abs(mean-3) > hw {
-		t.Errorf("true mean outside CI: %v ± %v", mean, hw)
-	}
-	if hw <= 0 || hw > 0.1 {
-		t.Errorf("suspicious half width %v", hw)
-	}
-	_, hw2 := BatchMeans(xs[:3], 40)
-	if !math.IsInf(hw2, 1) {
-		t.Error("too-few samples should report infinite half width")
 	}
 }
 
@@ -301,13 +238,6 @@ func TestBusyTrackerRetentionCap(t *testing.T) {
 	}
 	if bt.Mountains() != 5 {
 		t.Errorf("mountains = %d, want 5 (stats uncapped)", bt.Mountains())
-	}
-}
-
-func TestPeakToMean(t *testing.T) {
-	wantClose(t, "ptm", PeakToMean([]float64{1, 1, 4}), 2, 1e-12)
-	if PeakToMean(nil) != 0 {
-		t.Error("empty should be 0")
 	}
 }
 

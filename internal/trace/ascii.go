@@ -119,28 +119,6 @@ func centerPad(s string, width int) string {
 	return strings.Repeat(" ", left) + s + strings.Repeat(" ", width-len(s)-left)
 }
 
-// Sparkline renders values as a compact one-line bar chart.
-func Sparkline(values []float64) string {
-	if len(values) == 0 {
-		return ""
-	}
-	ramp := []rune("▁▂▃▄▅▆▇█")
-	min, max := values[0], values[0]
-	for _, v := range values {
-		min = math.Min(min, v)
-		max = math.Max(max, v)
-	}
-	var b strings.Builder
-	for _, v := range values {
-		i := 0
-		if max > min {
-			i = int((v - min) / (max - min) * float64(len(ramp)-1))
-		}
-		b.WriteRune(ramp[i])
-	}
-	return b.String()
-}
-
 // Table renders rows with a header in aligned columns.
 func Table(header []string, rows [][]string) string {
 	widths := make([]int, len(header))

@@ -110,23 +110,6 @@ func TestChartConstantSeries(t *testing.T) {
 	}
 }
 
-func TestSparkline(t *testing.T) {
-	s := Sparkline([]float64{0, 1, 2, 3, 4, 5, 6, 7})
-	if len([]rune(s)) != 8 {
-		t.Fatalf("sparkline length %d", len([]rune(s)))
-	}
-	if []rune(s)[0] != '▁' || []rune(s)[7] != '█' {
-		t.Errorf("ramp endpoints wrong: %s", s)
-	}
-	if Sparkline(nil) != "" {
-		t.Error("empty sparkline")
-	}
-	flat := Sparkline([]float64{2, 2})
-	if []rune(flat)[0] != '▁' {
-		t.Error("flat series should render at the floor")
-	}
-}
-
 func TestTable(t *testing.T) {
 	out := Table([]string{"name", "value"}, [][]string{{"x", "1"}, {"longer", "2.5"}})
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
