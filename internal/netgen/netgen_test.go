@@ -214,6 +214,46 @@ func TestSendCancelled(t *testing.T) {
 	}
 }
 
+// TestRejectsBadParameters: Send refuses a pad that would wrap to ~4 GiB
+// or overflow a datagram and a compression that would make every packet
+// due at once, before it dials (an empty address fails to dial with
+// another error); GenerateHAP refuses a horizon that is not positive.
+func TestRejectsBadParameters(t *testing.T) {
+	s := &Schedule{Arrivals: []Arrival{{T: 0}}, Horizon: 1}
+	send := func(pad int, compression float64) func() error {
+		return func() error {
+			_, err := Send(context.Background(), "", s, SenderConfig{Compression: compression, PayloadPad: pad})
+			return err
+		}
+	}
+	generate := func(horizon float64) func() error {
+		return func() error {
+			_, err := GenerateHAP(core.PaperParams(20), horizon, 1)
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		bad  bool
+	}{
+		{"pad -5", send(-5, 1), true},
+		{"pad past a datagram", send(maxDatagram-HeaderSize+1, 1), true},
+		{"largest pad", send(maxDatagram-HeaderSize, 1), false},
+		{"compression NaN", send(64, math.NaN()), true},
+		{"compression +Inf", send(64, math.Inf(1)), true},
+		{"compression -Inf", send(64, math.Inf(-1)), true},
+		{"horizon NaN", generate(math.NaN()), true},
+		{"horizon 0", generate(0), true},
+		{"horizon -1", generate(-1), true},
+	} {
+		err := tc.run()
+		if got := errors.Is(err, haperr.ErrBadParameter); got != tc.bad || err == nil {
+			t.Errorf("%s: err %v, want ErrBadParameter %v", tc.name, err, tc.bad)
+		}
+	}
+}
+
 func TestSinkIdleTimeout(t *testing.T) {
 	sink, err := NewSink("127.0.0.1:0")
 	if err != nil {

@@ -1,7 +1,6 @@
 package netgen
 
 import (
-	"fmt"
 	"math"
 
 	"hap/internal/core"
@@ -29,8 +28,8 @@ func GenerateHAP(m *core.Model, horizon float64, seed int64) (*Schedule, error) 
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("netgen: horizon must be positive")
+	if !(horizon > 0) {
+		return nil, haperr.Badf("netgen: horizon must be positive (got %v)", horizon)
 	}
 	return generate(sim.NewHAPSource(m, dist.NewStreams(seed).Next()), horizon, seed)
 }

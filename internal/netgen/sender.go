@@ -3,8 +3,11 @@ package netgen
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"time"
+
+	"hap/internal/haperr"
 )
 
 // SenderConfig tunes packet replay.
@@ -12,12 +15,14 @@ type SenderConfig struct {
 	// Compression divides model time: with Compression = 1000 one model
 	// second is replayed in one millisecond. Default 1 (real time).
 	Compression float64
-	// PayloadPad adds this many zero bytes after the header.
+	// PayloadPad adds this many zero bytes after the header, up to the
+	// largest UDP payload (maxDatagram).
 	PayloadPad int
-	// MaxBehind aborts pacing fidelity accounting when the sender falls
-	// this far (wall time) behind schedule; packets are still sent.
-	MaxBehind time.Duration
 }
+
+// maxDatagram is the largest UDP payload over IPv4: 65,535 bytes less the
+// 8-byte UDP and 20-byte IP headers.
+const maxDatagram = 65507
 
 // SendStats reports a completed replay.
 type SendStats struct {
@@ -28,8 +33,16 @@ type SendStats struct {
 }
 
 // Send replays the schedule as UDP datagrams to addr, pacing according to
-// the (compressed) model timeline. It stops early if ctx is cancelled.
+// the (compressed) model timeline. It stops early if ctx is cancelled. A
+// negative or oversized pad, or a NaN or infinite compression, is
+// rejected with ErrBadParameter before anything is sent.
 func Send(ctx context.Context, addr string, s *Schedule, cfg SenderConfig) (SendStats, error) {
+	if cfg.PayloadPad < 0 || cfg.PayloadPad > maxDatagram-HeaderSize {
+		return SendStats{}, haperr.Badf("netgen: payload pad must be in [0, %d] (got %d)", maxDatagram-HeaderSize, cfg.PayloadPad)
+	}
+	if math.IsNaN(cfg.Compression) || math.IsInf(cfg.Compression, 0) {
+		return SendStats{}, haperr.Badf("netgen: compression must be finite (got %v)", cfg.Compression)
+	}
 	if cfg.Compression <= 0 {
 		cfg.Compression = 1
 	}
