@@ -285,12 +285,14 @@ func TestReplicationsCI(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine(10)
+	e.SetMaxEvents(1000)
 	fired := false
 	e.SetDeliverHook(func(st, pkt int32) {
 		fired = true
 		defer func() {
 			if recover() == nil {
-				t.Error("scheduling into the past must panic")
+				t.Fatalf("scheduling into the past must panic; the run is at now=%v after %d events",
+					e.Now(), e.Processed())
 			}
 		}()
 		e.scheduleEv(1, evNetDeliver, st, pkt, 0, 0)
