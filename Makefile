@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test ci fmt vet race race-all bench-smoke bench bench-gate baseline metrics-smoke fit-smoke shard-smoke ctrl-smoke net-smoke hapbench hapbench-test
+.PHONY: all build test ci fmt vet race race-all bench-smoke bench bench-gate baseline metrics-smoke fit-smoke shard-smoke ctrl-smoke net-smoke cli-smoke hapbench hapbench-test
 
 all: build test
 
@@ -12,11 +12,11 @@ test:
 
 # ci is the merge gate: formatting, vet, the race detector over the
 # concurrency-bearing packages, a one-iteration benchmark smoke test, the
-# five smoke rows (metrics, multi-shard determinism, generate→fit,
-# control plane, queueing networks), the benchmark-of-record module's vet
-# and tests, and the benchmark sweep with its gate (fresh capture vs the
-# newest committed BENCH_pr<N>.json).
-ci: fmt vet race bench-smoke metrics-smoke shard-smoke fit-smoke ctrl-smoke net-smoke hapbench-test bench
+# six smoke rows (metrics, multi-shard determinism, generate→fit,
+# control plane, queueing networks, the binaries' shared runner), the
+# benchmark-of-record module's vet and tests, and the benchmark sweep
+# with its gate (fresh capture vs the newest committed BENCH_pr<N>.json).
+ci: fmt vet race bench-smoke metrics-smoke shard-smoke fit-smoke ctrl-smoke net-smoke cli-smoke hapbench-test bench
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -31,7 +31,7 @@ vet:
 	GOARCH=arm64 $(GO) vet ./...
 
 race:
-	$(GO) test -race ./internal/par ./internal/sim ./internal/obs ./internal/ctrl ./internal/netgen ./internal/net
+	$(GO) test -race ./internal/par ./internal/sim ./internal/obs ./internal/ctrl ./internal/netgen ./internal/net ./internal/cli
 
 # race-all runs the whole module under the race detector (the CI race job);
 # -short skips the wall-clock-sensitive netgen delivery assertions, and the
@@ -40,10 +40,10 @@ race:
 race-all:
 	$(GO) test -race -short -timeout 40m ./...
 
-# The five smokes are rows of one harness, scripts/smoke: each target
+# The six smokes are rows of one harness, scripts/smoke: each target
 # builds the cmd/ binaries its row drives into a temporary directory,
 # runs them end to end and prints "<row>-smoke: ok".
-# `go run ./scripts/smoke` with no row runs all five.
+# `go run ./scripts/smoke` with no row runs all six.
 
 # metrics-smoke boots cmd/hapsim with -metrics on an ephemeral port,
 # scrapes the exposition once, and asserts the required families are there.
@@ -77,6 +77,13 @@ ctrl-smoke:
 # hap_net_* families with nonzero forwarded/delivered counters.
 net-smoke:
 	$(GO) run ./scripts/smoke net
+
+# cli-smoke asserts the runner every cmd/ binary shares: each of the
+# seven reports one bad flag value as a usage error (exit 2, one stderr
+# line, no panic), and hapsim and experiments runs that -timeout cuts
+# short exit 5 and leave CPU and heap profiles that go tool pprof reads.
+cli-smoke:
+	$(GO) run ./scripts/smoke cli
 
 # bench-smoke compiles and runs one iteration of the simulator benchmark
 # and of the layer benchmarks: the scheduler's hold model at one source's

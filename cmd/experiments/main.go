@@ -13,14 +13,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
-	"os/signal"
-	"runtime"
-	"runtime/pprof"
 
+	"hap/internal/cli"
 	"hap/internal/experiments"
 	"hap/internal/haperr"
-	"hap/internal/obs"
 
 	// Register the netgen metric families too, so one scrape shows the full
 	// hap_* namespace (experiments already pull in sim and solver).
@@ -40,83 +38,40 @@ func main() {
 		metrics = flag.String("metrics", "", "serve live metrics on this address (e.g. :9090 or 127.0.0.1:0)")
 	)
 	flag.Parse()
-	if *metrics != "" {
-		srv, err := obs.Serve(*metrics)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	// Ctrl-c (and an optional -timeout) stop the batch between experiments,
+	// not inside one.
+	cli.Main(cli.Options{Timeout: *timeout, Metrics: *metrics, CPUProfile: *cpuProf, MemProfile: *memProf}, func(runCtx context.Context) error {
+		if *list {
+			for _, e := range experiments.All() {
+				fmt.Printf("%-4s %s\n", e.ID, e.Title)
+			}
+			return nil
 		}
-		defer srv.Close()
-		fmt.Printf("metrics: http://%s/metrics\n", srv.Addr())
-	}
-
-	// Ctrl-c (and an optional -timeout) stop the batch between experiments;
-	// a cancelled run exits with the dedicated code.
-	runCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(runCtx, *timeout)
-		defer cancel()
-	}
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if !(*scale > 0) || math.IsInf(*scale, 1) {
+			return haperr.Badf("-scale must be positive and finite (got %v)", *scale)
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		ctx := &experiments.Context{
+			Scale:      *scale,
+			Out:        os.Stdout,
+			ResultsDir: *results,
+			Seed:       *seed,
+			Ctx:        runCtx,
 		}
-		defer pprof.StopCPUProfile()
-	}
-	defer func() {
-		if *memProf == "" {
-			return
+		if *expID != "" {
+			e, ok := experiments.Get(*expID)
+			if !ok {
+				return haperr.Badf("unknown experiment %q; use -list", *expID)
+			}
+			res, err := e.Run(ctx)
+			if err != nil {
+				return fmt.Errorf("%s failed: %w", e.ID, err)
+			}
+			res.Render(os.Stdout)
+			return nil
 		}
-		f, err := os.Create(*memProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
+		if _, err := experiments.RunAll(ctx); err != nil {
+			return fmt.Errorf("some experiments failed: %w", err)
 		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-	}()
-
-	if *list {
-		for _, e := range experiments.All() {
-			fmt.Printf("%-4s %s\n", e.ID, e.Title)
-		}
-		return
-	}
-	ctx := &experiments.Context{
-		Scale:      *scale,
-		Out:        os.Stdout,
-		ResultsDir: *results,
-		Seed:       *seed,
-		Ctx:        runCtx,
-	}
-	if *expID != "" {
-		e, ok := experiments.Get(*expID)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *expID)
-			os.Exit(haperr.ExitUsage)
-		}
-		res, err := e.Run(ctx)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
-			os.Exit(haperr.ExitCode(err))
-		}
-		res.Render(os.Stdout)
-		return
-	}
-	if _, err := experiments.RunAll(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "some experiments failed: %v\n", err)
-		os.Exit(haperr.ExitCode(err))
-	}
+		return nil
+	})
 }

@@ -26,13 +26,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
+	"hap/internal/cli"
 	"hap/internal/ctrl"
 	"hap/internal/fit"
 	"hap/internal/gm1"
@@ -61,68 +59,58 @@ func main() {
 		rates   = flag.String("rates", "", "comma-separated per-stream service rates aligned with -listen; empty entries inherit -mu3")
 	)
 	flag.Parse()
-	if !(*mu3 > 0) || !(*target > 0) {
-		fmt.Fprintln(os.Stderr, "hapd: -mu3 and -target are required and must be positive")
-		flag.Usage()
-		os.Exit(haperr.ExitUsage)
-	}
-	var sigma gm1.Method
-	switch *method {
-	case "bisect":
-		sigma = gm1.MethodBisect
-	case "paper":
-		sigma = gm1.MethodPaper
-	default:
-		fmt.Fprintf(os.Stderr, "hapd: unknown -method %q\n", *method)
-		os.Exit(haperr.ExitUsage)
-	}
+	cli.Main(cli.Options{Timeout: *timeout}, func(ctx context.Context) error {
+		if !(*mu3 > 0) || !(*target > 0) {
+			return haperr.Badf("hapd: -mu3 and -target are required and must be positive")
+		}
+		var sigma gm1.Method
+		switch *method {
+		case "bisect":
+			sigma = gm1.MethodBisect
+		case "paper":
+			sigma = gm1.MethodPaper
+		default:
+			return haperr.Badf("hapd: unknown -method %q", *method)
+		}
 
-	addrs := strings.Split(*listen, ",")
-	overrides, err := parseOverrides(*targets, *rates, len(addrs))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hapd:", err)
-		os.Exit(haperr.ExitUsage)
-	}
+		addrs := strings.Split(*listen, ",")
+		overrides, err := parseOverrides(*targets, *rates, len(addrs))
+		if err != nil {
+			return fmt.Errorf("hapd: %w", err)
+		}
 
-	d, err := ctrl.New(ctrl.Config{
-		ListenAddrs:        addrs,
-		Overrides:          overrides,
-		HTTPAddr:           *httpA,
-		ServiceRate:        *mu3,
-		TargetDelay:        *target,
-		FMax:               *fmax,
-		RefitEvery:         *refitN,
-		Window:             *window,
-		MinWindow:          *minWin,
-		StaleAfter:         *stale,
-		Workers:            *workers,
-		HistorySize:        *history,
-		MaxAggregateStates: *aggMax,
-		Method:             sigma,
-		EM:                 fit.EMOptions{MaxIter: *emIter},
+		d, err := ctrl.New(ctrl.Config{
+			ListenAddrs:        addrs,
+			Overrides:          overrides,
+			HTTPAddr:           *httpA,
+			ServiceRate:        *mu3,
+			TargetDelay:        *target,
+			FMax:               *fmax,
+			RefitEvery:         *refitN,
+			Window:             *window,
+			MinWindow:          *minWin,
+			StaleAfter:         *stale,
+			Workers:            *workers,
+			HistorySize:        *history,
+			MaxAggregateStates: *aggMax,
+			Method:             sigma,
+			EM:                 fit.EMOptions{MaxIter: *emIter},
+		})
+		if err != nil {
+			return fmt.Errorf("hapd: %w", err)
+		}
+		// The smoke harness parses these lines to find the ephemeral ports.
+		for _, s := range d.Streams() {
+			fmt.Printf("stream %s: udp %s\n", s.ID, s.Addr())
+		}
+		fmt.Printf("api: http://%s\n", d.APIAddr())
+
+		if err := d.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
+			return fmt.Errorf("hapd: %w", err)
+		}
+		fmt.Println("hapd: drained")
+		return nil
 	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hapd:", err)
-		os.Exit(haperr.ExitCode(err))
-	}
-	// The smoke harness parses these lines to find the ephemeral ports.
-	for _, s := range d.Streams() {
-		fmt.Printf("stream %s: udp %s\n", s.ID, s.Addr())
-	}
-	fmt.Printf("api: http://%s\n", d.APIAddr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	if err := d.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "hapd:", err)
-		os.Exit(haperr.ExitCode(err))
-	}
-	fmt.Println("hapd: drained")
 }
 
 // parseOverrides zips the -targets and -rates comma lists into
@@ -139,7 +127,7 @@ func parseOverrides(targets, rates string, n int) ([]ctrl.StreamOverride, error)
 		}
 		parts := strings.Split(list, ",")
 		if len(parts) > n {
-			return fmt.Errorf("-%s lists %d entries for %d streams", flagName, len(parts), n)
+			return haperr.Badf("-%s lists %d entries for %d streams", flagName, len(parts), n)
 		}
 		for i, p := range parts {
 			if p = strings.TrimSpace(p); p == "" {
@@ -147,7 +135,7 @@ func parseOverrides(targets, rates string, n int) ([]ctrl.StreamOverride, error)
 			}
 			v, err := strconv.ParseFloat(p, 64)
 			if err != nil || !(v > 0) {
-				return fmt.Errorf("-%s entry %d: want a positive number, got %q", flagName, i, p)
+				return haperr.Badf("-%s entry %d: want a positive number, got %q", flagName, i, p)
 			}
 			field(i, v)
 		}

@@ -27,17 +27,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
 
+	"hap/internal/cli"
 	"hap/internal/fit"
 	"hap/internal/haperr"
 	"hap/internal/netgen"
-	"hap/internal/obs"
 	"hap/internal/trace"
 )
 
@@ -66,106 +63,71 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	if (*in == "") == (*listen == "") {
-		fmt.Fprintln(os.Stderr, "hapfit: exactly one of -in or -listen is required")
-		flag.Usage()
-		os.Exit(haperr.ExitUsage)
-	}
-	if *refitN > 0 && (*listen == "" || !(*window > 0)) {
-		fmt.Fprintln(os.Stderr, "hapfit: -refit needs -listen and a positive -window")
-		flag.Usage()
-		os.Exit(haperr.ExitUsage)
-	}
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+	cli.Main(cli.Options{Timeout: *timeout, Metrics: *metrics, CPUProfile: *cpuProf, MemProfile: *memProf}, func(ctx context.Context) error {
+		if (*in == "") == (*listen == "") {
+			return haperr.Badf("hapfit: exactly one of -in or -listen is required")
+		}
+		if *refitN > 0 && (*listen == "" || !(*window > 0)) {
+			return haperr.Badf("hapfit: -refit needs -listen and a positive -window")
+		}
+		emOpt := fit.EMOptions{
+			MaxIter:    *emIter,
+			Tol:        *emTol,
+			MaxSamples: *emMax,
+			Starts:     *emStarts,
+			Seed:       *emSeed,
+			Workers:    *workers,
+		}
+
+		var (
+			times []float64
+			err   error
+		)
+		if *in != "" {
+			times, err = trace.ReadTimestamps(*in)
+		} else {
+			times, err = collect(ctx, *listen, *expect, *idle, *refitN, *window, *asJSON, emOpt)
+		}
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+
+		opt := fit.Options{
+			ServiceRate: *muMsg,
+			AppTypes:    *appTypes,
+			Fanout:      *fanout,
+			Workers:     *workers,
+			EM:          emOpt,
 		}
-		defer pprof.StopCPUProfile()
-	}
-	if *metrics != "" {
-		srv, err := obs.Serve(*metrics)
+		if *model != "auto" && *model != "" {
+			opt.Models = strings.Split(*model, ",")
+		}
+		rep, err := fit.Fit(ctx, times, opt)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics\n", srv.Addr())
-	}
 
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stopSignals()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	emOpt := fit.EMOptions{
-		MaxIter:    *emIter,
-		Tol:        *emTol,
-		MaxSamples: *emMax,
-		Starts:     *emStarts,
-		Seed:       *emSeed,
-		Workers:    *workers,
-	}
-
-	var (
-		times []float64
-		err   error
-	)
-	if *in != "" {
-		times, err = trace.ReadTimestamps(*in)
-		if err != nil {
-			fatal(err)
+		if *asJSON {
+			enc := json.NewEncoder(os.Stdout)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(rep); err != nil {
+				return err
+			}
+		} else {
+			printReport(rep)
 		}
-	} else {
-		times, err = collect(ctx, *listen, *expect, *idle, *refitN, *window, *asJSON, emOpt)
-		if err != nil {
-			fatal(err)
+		if rep.Best != "" {
+			return nil
 		}
-	}
-
-	opt := fit.Options{
-		ServiceRate: *muMsg,
-		AppTypes:    *appTypes,
-		Fanout:      *fanout,
-		Workers:     *workers,
-		EM:          emOpt,
-	}
-	if *model != "auto" && *model != "" {
-		opt.Models = strings.Split(*model, ",")
-	}
-	rep, err := fit.Fit(ctx, times, opt)
-	if err != nil {
-		fatal(err)
-	}
-
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-	} else {
-		printReport(rep)
-	}
-	writeMemProfile(*memProf)
-	if rep.Best == "" {
 		// Every candidate failed; surface the most informative failure as
 		// the exit code (not-converged beats a generic error).
-		code := haperr.ExitError
 		for _, c := range rep.Candidates {
 			if c.Diag.Iterations > 0 && !c.Diag.Converged {
-				code = haperr.ExitNotConverged
+				return fmt.Errorf("hapfit: every candidate failed: %w", haperr.ErrNotConverged)
 			}
 		}
-		pprof.StopCPUProfile() // os.Exit skips the deferred stop
-		os.Exit(code)
-	}
+		return errors.New("hapfit: every candidate failed")
+	})
 }
 
 // collect gathers arrival timestamps live, streaming each packet into the
@@ -228,23 +190,6 @@ func collect(ctx context.Context, listen string, expect int, idle time.Duration,
 	fmt.Fprintf(os.Stderr, "collected %d packets in %v (lost %d, reordered %d)\n",
 		st.Received, st.Elapsed.Round(time.Millisecond), st.Lost, st.Reordered)
 	return times, nil
-}
-
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	runtime.GC() // flush recently freed objects for an accurate heap picture
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 }
 
 func printReport(rep *fit.Report) {
@@ -316,9 +261,4 @@ func printBest(c *fit.Candidate) {
 		fmt.Printf("  MMPP2: rates %.4g/s ↔ %.4g/s, switching Q01 = %.4g/s, Q10 = %.4g/s (%d interarrivals, loglik %.6g)\n",
 			f.Model.R0, f.Model.R1, f.Model.Q01, f.Model.Q10, f.Samples, f.LogLik)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(haperr.ExitCode(err))
 }

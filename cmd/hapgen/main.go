@@ -22,14 +22,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
 	"time"
 
+	"hap/internal/cli"
 	"hap/internal/core"
 	"hap/internal/haperr"
 	"hap/internal/netgen"
-	"hap/internal/obs"
 	"hap/internal/trace"
 
 	// Register the sim and solver metric families so one scrape shows the
@@ -54,127 +52,117 @@ func main() {
 		metrics  = flag.String("metrics", "", "serve live metrics on this address (e.g. :9090 or 127.0.0.1:0)")
 	)
 	flag.Parse()
-	if *metrics != "" {
-		srv, err := obs.Serve(*metrics)
+	cli.Main(cli.Options{Timeout: *timeout, Metrics: *metrics}, func(ctx context.Context) error {
+		switch *mode {
+		case "sink":
+			return runSink(ctx, *listen)
+		case "send", "trace", "loopback":
+		default:
+			return haperr.Badf("unknown mode %q", *mode)
+		}
+		s, err := makeSchedule(*source, *seconds, *seed, *muMsg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		defer srv.Close()
-		fmt.Printf("metrics: http://%s/metrics\n", srv.Addr())
-	}
-
-	// Ctrl-c (and an optional -timeout) cancel the context driving the
-	// sender and the sink collector; a cancelled run exits with the
-	// dedicated code.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stopSignals()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	switch *mode {
-	case "sink":
-		runSink(ctx, *listen)
-	case "send":
-		s := makeSchedule(*source, *seconds, *seed, *muMsg)
-		sendTo(ctx, *to, s, *compress, *pad)
-	case "trace":
-		s := makeSchedule(*source, *seconds, *seed, *muMsg)
-		times := make([]float64, len(s.Arrivals))
-		for i, a := range s.Arrivals {
-			times[i] = a.T
+		cfg := netgen.SenderConfig{Compression: *compress, PayloadPad: *pad}
+		switch *mode {
+		case "send":
+			return sendTo(ctx, *to, s, cfg)
+		case "trace":
+			return writeTrace(*out, s)
+		default:
+			return loopback(ctx, s, cfg)
 		}
-		if err := trace.WriteCSV(*out, trace.Series{Name: "arrival_s", Values: times}); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d arrivals over %g model s (rate %.4g/s) to %s\n",
-			len(times), s.Horizon, s.MeanRate(), *out)
-	case "loopback":
-		sink, err := netgen.NewSink("127.0.0.1:0")
-		if err != nil {
-			fatal(err)
-		}
-		defer sink.Close()
-		s := makeSchedule(*source, *seconds, *seed, *muMsg)
-		fmt.Printf("schedule: %d packets over %g model s (rate %.4g/s); replay at %gx\n",
-			len(s.Arrivals), s.Horizon, s.MeanRate(), *compress)
-		idle := netgen.AdaptiveIdle(s, *compress)
-		done := make(chan netgen.SinkStats, 1)
-		go func() {
-			st, err := sink.Collect(ctx, len(s.Arrivals), idle)
-			if err != nil {
-				fatal(err)
-			}
-			done <- st
-		}()
-		stats, err := netgen.Send(ctx, sink.Addr(), s, netgen.SenderConfig{
-			Compression: *compress, PayloadPad: *pad,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		st := <-done
-		fmt.Printf("sent %d packets (%d bytes) in %v, worst pacing lateness %v\n",
-			stats.Sent, stats.Bytes, stats.Elapsed.Round(time.Millisecond),
-			time.Duration(stats.MaxLateNs))
-		report(st)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(haperr.ExitUsage)
-	}
+	})
 }
 
-func makeSchedule(source string, seconds float64, seed int64, muMsg float64) *netgen.Schedule {
-	var (
-		s   *netgen.Schedule
-		err error
-	)
+func makeSchedule(source string, seconds float64, seed int64, muMsg float64) (*netgen.Schedule, error) {
 	switch source {
 	case "hap":
-		s, err = netgen.GenerateHAP(core.PaperParams(muMsg), seconds, seed)
+		return netgen.GenerateHAP(core.PaperParams(muMsg), seconds, seed)
 	case "poisson":
-		s, err = netgen.GeneratePoisson(core.PaperParams(muMsg).MeanRate(), seconds, seed)
+		return netgen.GeneratePoisson(core.PaperParams(muMsg).MeanRate(), seconds, seed)
 	case "onoff":
 		// Built literally (not via NewOnOff) so a bad -mu3 surfaces as an
 		// error instead of the constructor's invariant panic.
 		tl := &core.TwoLevel{Lambda: 0.05, Mu: 0.01, MsgLambda: 2, MsgMu: muMsg}
-		if err = tl.Validate(); err == nil {
-			s, err = netgen.GenerateOnOff(tl, seconds, seed)
+		if err := tl.Validate(); err != nil {
+			return nil, err
 		}
-	default:
-		err = fmt.Errorf("unknown source %q", source)
+		return netgen.GenerateOnOff(tl, seconds, seed)
 	}
-	if err != nil {
-		fatal(err)
-	}
-	return s
+	return nil, haperr.Badf("unknown source %q", source)
 }
 
-func sendTo(ctx context.Context, addr string, s *netgen.Schedule, compress float64, pad int) {
-	fmt.Printf("sending %d packets to %s at %gx compression...\n", len(s.Arrivals), addr, compress)
-	stats, err := netgen.Send(ctx, addr, s, netgen.SenderConfig{
-		Compression: compress, PayloadPad: pad,
-	})
+func writeTrace(path string, s *netgen.Schedule) error {
+	times := make([]float64, len(s.Arrivals))
+	for i, a := range s.Arrivals {
+		times[i] = a.T
+	}
+	if err := trace.WriteCSV(path, trace.Series{Name: "arrival_s", Values: times}); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %d arrivals over %g model s (rate %.4g/s) to %s\n",
+		len(times), s.Horizon, s.MeanRate(), path)
+	return nil
+}
+
+func sendTo(ctx context.Context, addr string, s *netgen.Schedule, cfg netgen.SenderConfig) error {
+	fmt.Printf("sending %d packets to %s at %gx compression...\n", len(s.Arrivals), addr, cfg.Compression)
+	stats, err := netgen.Send(ctx, addr, s, cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("sent %d packets (%d bytes) in %v\n", stats.Sent, stats.Bytes, stats.Elapsed.Round(time.Millisecond))
+	return nil
 }
 
-func runSink(ctx context.Context, listen string) {
+// loopback replays s to a sink in this process and reports both ends.
+func loopback(ctx context.Context, s *netgen.Schedule, cfg netgen.SenderConfig) error {
+	sink, err := netgen.NewSink("127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	defer sink.Close()
+	fmt.Printf("schedule: %d packets over %g model s (rate %.4g/s); replay at %gx\n",
+		len(s.Arrivals), s.Horizon, s.MeanRate(), cfg.Compression)
+	type collected struct {
+		st  netgen.SinkStats
+		err error
+	}
+	done := make(chan collected, 1)
+	go func() {
+		st, err := sink.Collect(ctx, len(s.Arrivals), netgen.AdaptiveIdle(s, cfg.Compression))
+		done <- collected{st, err}
+	}()
+	stats, err := netgen.Send(ctx, sink.Addr(), s, cfg)
+	if err != nil {
+		return err // the deferred Close ends the collector
+	}
+	c := <-done
+	if c.err != nil {
+		return c.err
+	}
+	fmt.Printf("sent %d packets (%d bytes) in %v, worst pacing lateness %v\n",
+		stats.Sent, stats.Bytes, stats.Elapsed.Round(time.Millisecond),
+		time.Duration(stats.MaxLateNs))
+	report(c.st)
+	return nil
+}
+
+func runSink(ctx context.Context, listen string) error {
 	sink, err := netgen.NewSink(listen)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer sink.Close()
 	fmt.Printf("listening on %s (ctrl-c to stop; reports after 5 s idle)\n", sink.Addr())
 	st, err := sink.Collect(ctx, 0, 5*time.Second)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	report(st)
+	return nil
 }
 
 func report(st netgen.SinkStats) {
@@ -184,9 +172,4 @@ func report(st netgen.SinkStats) {
 	if st.IDCWindow > 0 {
 		fmt.Printf("  IDC(%.3gs window) %.4g  (Poisson ≈ 1; HAP ≫ 1)\n", st.IDCWindow, st.IDC)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(haperr.ExitCode(err))
 }

@@ -14,12 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 
+	"hap/internal/cli"
 	"hap/internal/core"
 	"hap/internal/haperr"
 	"hap/internal/net"
-	"hap/internal/obs"
 	"hap/internal/sim"
 
 	// Register the solver and netgen metric families so one scrape of any
@@ -59,165 +58,140 @@ func main() {
 		metrics  = flag.String("metrics", "", "serve live metrics on this address (e.g. :9090 or 127.0.0.1:0)")
 	)
 	flag.Parse()
-	if *warmup == 0 {
-		*warmup = *horizon / 100
-	}
-	if *metrics != "" {
-		srv, err := obs.Serve(*metrics)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	cli.Main(cli.Options{Timeout: *timeout, Metrics: *metrics}, func(ctx context.Context) error {
+		if *warmup == 0 {
+			*warmup = *horizon / 100
 		}
-		defer srv.Close()
-		fmt.Printf("metrics: http://%s/metrics\n", srv.Addr())
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+		// Topology and the ingress nodes it implies: tandem and grid take one
+		// source at the entrance, fan-in takes one per edge node.
+		var (
+			topo    *net.Topology
+			entries []int
+			dst     int
+		)
+		switch *topoKind {
+		case "tandem":
+			mus := make([]float64, *nodes)
+			for i := range mus {
+				mus[i] = *mu
+			}
+			topo = net.Tandem("tandem", mus, *buffer)
+			entries, dst = []int{0}, *nodes-1
+		case "fanin":
+			topo = net.FanIn("fanin", *k, *edgeMu, *mu, *buffer, *buffer)
+			for i := 0; i < *k; i++ {
+				entries = append(entries, i)
+			}
+			dst = *k
+		case "grid":
+			topo = net.Grid("grid", *gw, *gh, *mu, *buffer)
+			entries, dst = []int{0}, *gw**gh-1
+		default:
+			return haperr.Badf("unknown topology %q", *topoKind)
+		}
+		if err := topo.Validate(); err != nil {
+			return err
+		}
 
-	// Topology and the ingress nodes it implies: tandem and grid take one
-	// source at the entrance, fan-in takes one per edge node.
-	var (
-		topo    *net.Topology
-		entries []int
-		dst     int
-	)
-	switch *topoKind {
-	case "tandem":
-		mus := make([]float64, *nodes)
-		for i := range mus {
-			mus[i] = *mu
+		var ings []net.Ingress
+		switch *source {
+		case "hap":
+			// Every node serves at its own rate, whatever the model's message
+			// service rate says — pass the node rate so the model prints with
+			// the effective service speed.
+			m := core.NewSymmetric(*lambda, *muUser, *lambda2, *mu2, *lambda3, *mu, *l, *mm)
+			if err := m.Validate(); err != nil {
+				return err
+			}
+			fmt.Printf("source: %s per ingress (λ̄ = %.4g)\n", m, m.MeanRate())
+			for _, e := range entries {
+				ings = append(ings, net.HAPIngress(m, e, dst))
+			}
+		case "poisson":
+			fmt.Printf("source: poisson(rate=%.4g) per ingress\n", *rate)
+			for _, e := range entries {
+				ings = append(ings, net.PoissonIngress(*rate, e, dst))
+			}
+		case "onoff":
+			tl := &core.TwoLevel{Lambda: *lambda, Mu: *muUser, MsgLambda: *rate, MsgMu: *mu}
+			if err := tl.Validate(); err != nil {
+				return err
+			}
+			fmt.Printf("source: onoff(ν=%.4g, γ=%.4g) per ingress\n", tl.Nu(), tl.MsgLambda)
+			for _, e := range entries {
+				ings = append(ings, net.OnOffIngress(tl, e, dst))
+			}
+		default:
+			return haperr.Badf("unknown source %q", *source)
 		}
-		topo = net.Tandem("tandem", mus, *buffer)
-		entries, dst = []int{0}, *nodes-1
-	case "fanin":
-		topo = net.FanIn("fanin", *k, *edgeMu, *mu, *buffer, *buffer)
-		for i := 0; i < *k; i++ {
-			entries = append(entries, i)
-		}
-		dst = *k
-	case "grid":
-		topo = net.Grid("grid", *gw, *gh, *mu, *buffer)
-		entries, dst = []int{0}, *gw**gh-1
-	default:
-		fmt.Fprintf(os.Stderr, "unknown topology %q\n", *topoKind)
-		os.Exit(haperr.ExitUsage)
-	}
-	if err := topo.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(haperr.ExitUsage)
-	}
 
-	var ings []net.Ingress
-	switch *source {
-	case "hap":
-		// Every node serves at its own rate, whatever the model's message
-		// service rate says — pass the node rate so the model prints with
-		// the effective service speed.
-		m := core.NewSymmetric(*lambda, *muUser, *lambda2, *mu2, *lambda3, *mu, *l, *mm)
-		if err := m.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(haperr.ExitUsage)
+		cfg := net.Config{
+			Horizon:   *horizon,
+			Seed:      *seed,
+			MaxHops:   *maxHops,
+			KeepPaths: *paths,
+			Measure:   sim.MeasureConfig{Warmup: *warmup},
+			Ctx:       ctx,
 		}
-		fmt.Printf("source: %s per ingress (λ̄ = %.4g)\n", m, m.MeanRate())
-		for _, e := range entries {
-			ings = append(ings, net.HAPIngress(m, e, dst))
+		var res *net.Result
+		if *reps > 1 {
+			res = net.RunReplicated(topo, ings, cfg, *reps, *workers)
+		} else {
+			res = net.Run(topo, ings, cfg)
 		}
-	case "poisson":
-		fmt.Printf("source: poisson(rate=%.4g) per ingress\n", *rate)
-		for _, e := range entries {
-			ings = append(ings, net.PoissonIngress(*rate, e, dst))
+		if errors.Is(res.Err, haperr.ErrBadParameter) {
+			return res.Err // rejected before it ran: there is no report
 		}
-	case "onoff":
-		tl := &core.TwoLevel{Lambda: *lambda, Mu: *muUser, MsgLambda: *rate, MsgMu: *mu}
-		if err := tl.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(haperr.ExitUsage)
-		}
-		fmt.Printf("source: onoff(ν=%.4g, γ=%.4g) per ingress\n", tl.Nu(), tl.MsgLambda)
-		for _, e := range entries {
-			ings = append(ings, net.OnOffIngress(tl, e, dst))
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown source %q\n", *source)
-		os.Exit(haperr.ExitUsage)
-	}
 
-	cfg := net.Config{
-		Horizon:   *horizon,
-		Seed:      *seed,
-		MaxHops:   *maxHops,
-		KeepPaths: *paths,
-		Measure:   sim.MeasureConfig{Warmup: *warmup},
-		Ctx:       ctx,
-	}
-	var res *net.Result
-	if *reps > 1 {
-		res = net.RunReplicated(topo, ings, cfg, *reps, *workers)
-	} else {
-		res = net.Run(topo, ings, cfg)
-	}
-	if errors.Is(res.Err, haperr.ErrBadParameter) {
-		fmt.Fprintln(os.Stderr, res.Err)
-		os.Exit(haperr.ExitUsage)
-	}
-
-	fmt.Printf("\ntopology %s: %d nodes, %d links, horizon %g s", topo.Name, len(topo.Nodes), len(topo.Links), *horizon)
-	if *reps > 1 {
-		fmt.Printf(" × %d reps", *reps)
-	}
-	fmt.Printf(", wall %v\n", res.Elapsed)
-	fmt.Printf("events %d, offered %d, delivered %d, dropped %d (full) + %d (hop limit), in flight %d\n",
-		res.Events, res.E2E.Offered, res.E2E.Delivered, res.E2E.DroppedFull, res.E2E.DroppedHops, res.InFlight)
-	if res.Truncated {
-		fmt.Println("warning: at least one run stopped before its horizon")
-	}
-
-	fmt.Printf("\n%-12s %10s %10s %10s %8s %12s %12s\n",
-		"node", "in", "forwarded", "delivered", "dropped", "mean sojourn", "mean queue")
-	for j, c := range res.Node {
-		fmt.Printf("%-12s %10d %10d %10d %8d %12.5g %12.5g\n",
-			c.Name, c.In, c.Forwarded, c.Delivered, c.DroppedFull,
-			res.PerNode[j].MeanDelay(), res.PerNode[j].MeanQueue())
-	}
-
-	fmt.Printf("\nend-to-end sojourn  %.5g s (std %.4g, max %.4g, n=%d)\n",
-		res.E2E.Sojourn.Mean(), res.E2E.Sojourn.Std(), res.E2E.Sojourn.Max(), res.E2E.Sojourn.N())
-	if *reps > 1 && res.HalfWidth > 0 {
-		fmt.Printf("rep-level 95%% CI    ± %.3g\n", res.HalfWidth)
-	}
-	for h, w := range res.E2E.PerHop {
-		if w.N() > 0 {
-			fmt.Printf("  hop %-2d sojourn    %.5g s (n=%d)\n", h+1, w.Mean(), w.N())
+		fmt.Printf("\ntopology %s: %d nodes, %d links, horizon %g s", topo.Name, len(topo.Nodes), len(topo.Links), *horizon)
+		if *reps > 1 {
+			fmt.Printf(" × %d reps", *reps)
 		}
-	}
-	for h, n := range res.E2E.Hops {
-		if n > 0 {
-			fmt.Printf("  %d delivered after %d node visits\n", n, h)
+		fmt.Printf(", wall %v\n", res.Elapsed)
+		fmt.Printf("events %d, offered %d, delivered %d, dropped %d (full) + %d (hop limit), in flight %d\n",
+			res.Events, res.E2E.Offered, res.E2E.Delivered, res.E2E.DroppedFull, res.E2E.DroppedHops, res.InFlight)
+		if res.Truncated {
+			fmt.Println("warning: at least one run stopped before its horizon")
 		}
-	}
-	for _, p := range res.Paths {
-		names := make([]string, len(p))
-		for i, n := range p {
-			names[i] = topo.NodeName(int(n))
-		}
-		fmt.Printf("  path: %v\n", names)
-	}
 
-	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, res, topo); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		fmt.Printf("\n%-12s %10s %10s %10s %8s %12s %12s\n",
+			"node", "in", "forwarded", "delivered", "dropped", "mean sojourn", "mean queue")
+		for j, c := range res.Node {
+			fmt.Printf("%-12s %10d %10d %10d %8d %12.5g %12.5g\n",
+				c.Name, c.In, c.Forwarded, c.Delivered, c.DroppedFull,
+				res.PerNode[j].MeanDelay(), res.PerNode[j].MeanQueue())
 		}
-	}
-	if res.Err != nil {
-		fmt.Fprintln(os.Stderr, res.Err)
-		os.Exit(haperr.ExitCode(res.Err))
-	}
+
+		fmt.Printf("\nend-to-end sojourn  %.5g s (std %.4g, max %.4g, n=%d)\n",
+			res.E2E.Sojourn.Mean(), res.E2E.Sojourn.Std(), res.E2E.Sojourn.Max(), res.E2E.Sojourn.N())
+		if *reps > 1 && res.HalfWidth > 0 {
+			fmt.Printf("rep-level 95%% CI    ± %.3g\n", res.HalfWidth)
+		}
+		for h, w := range res.E2E.PerHop {
+			if w.N() > 0 {
+				fmt.Printf("  hop %-2d sojourn    %.5g s (n=%d)\n", h+1, w.Mean(), w.N())
+			}
+		}
+		for h, n := range res.E2E.Hops {
+			if n > 0 {
+				fmt.Printf("  %d delivered after %d node visits\n", n, h)
+			}
+		}
+		for _, p := range res.Paths {
+			names := make([]string, len(p))
+			for i, n := range p {
+				names[i] = topo.NodeName(int(n))
+			}
+			fmt.Printf("  path: %v\n", names)
+		}
+
+		if *jsonOut != "" {
+			if err := writeJSON(*jsonOut, res, topo); err != nil {
+				return err
+			}
+		}
+		return res.Err
+	})
 }
 
 // nodeJSON and resultJSON flatten the result for scripted consumers

@@ -13,13 +13,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"runtime"
-	"runtime/pprof"
 
+	"hap/internal/cli"
 	"hap/internal/core"
 	"hap/internal/haperr"
-	"hap/internal/obs"
 	"hap/internal/par"
 	"hap/internal/sim"
 	"hap/internal/trace"
@@ -59,206 +57,172 @@ func main() {
 		perStat = flag.String("per-station", "", "write the per-source measurement breakdown of a sharded aggregate as JSON to this file ('-' = stdout; requires -shards/-sources)")
 	)
 	flag.Parse()
-	if *warmup == 0 {
-		*warmup = *horizon / 100
-	}
-	if *metrics != "" {
-		srv, err := obs.Serve(*metrics)
+	cli.Main(cli.Options{Timeout: *timeout, Metrics: *metrics, CPUProfile: *cpuProf, MemProfile: *memProf}, func(ctx context.Context) error {
+		if *warmup == 0 {
+			*warmup = *horizon / 100
+		}
+		mcfg := sim.MeasureConfig{
+			Warmup:             *warmup,
+			TrackBusy:          *busy,
+			KeepBusyPeriods:    *busy,
+			MaxBusyRetained:    1 << 20,
+			QueueTraceInterval: *queue,
+		}
+		// Ctrl-c (and an optional -timeout) cancel the context polled by
+		// every replication's event loop; a cancelled run reports whatever
+		// span it covered before exiting with the dedicated code.
+		cfg := sim.Config{Horizon: *horizon, Seed: *seed, Measure: mcfg, Ctx: ctx}
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+		sharded := *shards > 0 || *sources > 0
+		switch {
+		case sharded && *reps > 1:
+			return haperr.Badf("-shards/-sources runs one sharded aggregate; it cannot be combined with -reps")
+		case !sharded && *perStat != "":
+			return haperr.Badf("-per-station reports a sharded aggregate's per-source breakdown; it requires -shards or -sources")
+		}
+		src, err := newSource(*source, *config, *lambda, *mu, *lambda2, *mu2, *lambda3, *mu3, *l, *mm)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		defer srv.Close()
-		fmt.Printf("metrics: http://%s/metrics\n", srv.Addr())
-	}
+		if sharded {
+			return runSharded(ctx, src, *shards, *sources, mcfg, *horizon, *seed, *perStat)
+		}
+		fmt.Printf("source: %s\n", src.name)
 
-	// Ctrl-c (and an optional -timeout) cancel the context polled by every
-	// replication's event loop; a cancelled run exits with the dedicated
-	// code after reporting whatever span it covered.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		// Build a per-seed runner once; a single run and a replicated run
+		// then share the exact same code path.
+		run := func(seed int64) *sim.RunResult {
+			c := cfg
+			c.Seed = seed
+			switch {
+			case src.hap != nil:
+				return sim.RunHAP(src.hap, c)
+			case src.onoff != nil:
+				return sim.RunOnOff(src.onoff, c)
+			default:
+				return sim.RunPoisson(src.rate, *mu3, c)
+			}
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	mcfg := sim.MeasureConfig{
-		Warmup:             *warmup,
-		TrackBusy:          *busy,
-		KeepBusyPeriods:    *busy,
-		MaxBusyRetained:    1 << 20,
-		QueueTraceInterval: *queue,
-	}
-	cfg := sim.Config{Horizon: *horizon, Seed: *seed, Measure: mcfg, Ctx: ctx}
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(haperr.ExitUsage)
-	}
-
-	if *shards > 0 || *sources > 0 {
 		if *reps > 1 {
-			fmt.Fprintln(os.Stderr, "-shards/-sources runs one sharded aggregate; it cannot be combined with -reps")
-			os.Exit(haperr.ExitUsage)
+			agg, err := sim.ReplicateRunsContext(ctx, *reps, *seed, *workers,
+				func(rep int, seed int64) *sim.RunResult { return run(seed) })
+			fmt.Printf("\n%d replications on %d workers, wall %v\n",
+				*reps, par.Workers(*workers, *reps), agg.Elapsed)
+			fmt.Printf("events %d, arrivals %d, departures %d\n",
+				agg.Events, agg.Arrivals, agg.Departures)
+			if agg.Skipped > 0 {
+				fmt.Printf("warning: %d replications never started (cancelled)\n", agg.Skipped)
+			}
+			if agg.Truncated {
+				fmt.Println("warning: at least one replication stopped before its horizon")
+			}
+			if agg.Merged != nil {
+				fmt.Printf("mean delay         %.5g s ± %.3g (95%% CI over %d reps)\n",
+					agg.Delay.Mean(), agg.HalfWidth, agg.Delay.N())
+				fmt.Printf("pooled delay       %.5g s (std %.4g, max %.4g, n=%d)\n",
+					agg.Merged.MeanDelay(), agg.Merged.Delays.Std(), agg.Merged.Delays.Max(),
+					agg.Merged.Delays.N())
+				fmt.Printf("mean queue length  %.5g (max %g)\n",
+					agg.Merged.MeanQueue(), agg.Merged.Queue.Max())
+			}
+			return err
 		}
-		runSharded(ctx, *source, *shards, *sources, mcfg, *horizon, *seed,
-			*lambda, *mu, *lambda2, *mu2, *lambda3, *mu3, *l, *mm, *config, *memProf, *perStat)
-		return
-	}
-	if *perStat != "" {
-		fmt.Fprintln(os.Stderr, "-per-station reports a sharded aggregate's per-source breakdown; it requires -shards or -sources")
-		os.Exit(haperr.ExitUsage)
-	}
+		res := run(*seed)
 
-	// Build a per-seed runner once; a single run and a replicated run then
-	// share the exact same code path.
-	var run func(seed int64) *sim.RunResult
-	switch *source {
+		meas := res.Meas
+		fmt.Printf("\nevents %d, arrivals %d, departures %d, wall %v\n",
+			res.Events, res.Arrivals, res.Departures, res.Elapsed)
+		if res.Truncated {
+			fmt.Println("warning: run stopped before the horizon (event budget or cancellation)")
+		}
+		fmt.Printf("observed rate      %.5g msgs/s\n", meas.ObservedRate())
+		fmt.Printf("mean delay         %.5g s (std %.4g, max %.4g)\n",
+			meas.MeanDelay(), meas.Delays.Std(), meas.Delays.Max())
+		fmt.Printf("mean queue length  %.5g (max %g)\n", meas.MeanQueue(), meas.Queue.Max())
+		if *busy {
+			bt := &meas.Busy
+			fmt.Printf("busy periods       %d (busy fraction %.3g)\n", bt.Mountains(), bt.BusyFraction())
+			fmt.Printf("  busy   mean %.4g var %.4g\n", bt.Busy.Mean(), bt.Busy.Var())
+			fmt.Printf("  idle   mean %.4g var %.4g\n", bt.Idle.Mean(), bt.Idle.Var())
+			fmt.Printf("  height mean %.4g var %.4g max %g\n", bt.Height.Mean(), bt.Height.Var(), bt.Height.Max())
+			longest, tallest := bt.Peak()
+			fmt.Printf("  longest mountain %.4g s, tallest %d messages\n", longest.Length(), tallest.Height)
+		}
+		if *queue > 0 && len(meas.QueueTrace) > 0 {
+			xs := make([]float64, len(meas.QueueTrace))
+			ys := make([]float64, len(meas.QueueTrace))
+			for i, p := range meas.QueueTrace {
+				xs[i], ys[i] = p.T, p.V
+			}
+			dx, dy := trace.Downsample(xs, ys, 600)
+			fmt.Print(trace.Chart(trace.ChartOptions{
+				Title: "queue length", XLabel: "time (s)", YLabel: "messages",
+			}, trace.Line{Name: "queue", Xs: dx, Ys: dy}))
+			if *csvOut != "" {
+				if err := trace.WriteCSV(*csvOut,
+					trace.Series{Name: "t", Values: xs},
+					trace.Series{Name: "queue", Values: ys}); err != nil {
+					return err
+				}
+				fmt.Printf("queue trace written to %s\n", *csvOut)
+			}
+		}
+		return res.Err
+	})
+}
+
+// source is the validated traffic -source names. hap carries a HAP (from
+// -config or the symmetric flags) and onoff its two-level reduction;
+// with neither, it is the HAP's equal-rate Poisson baseline at rate.
+type source struct {
+	hap   *core.Model
+	onoff *core.TwoLevel
+	rate  float64
+	name  string // as the report prints it after "source: "
+}
+
+// newSource builds the validated source that a single run and a sharded
+// aggregate simulate alike: the HAP from config when it is set, else from
+// the symmetric rates, the HAP's equal-rate Poisson baseline, or its
+// two-level ON-OFF reduction.
+func newSource(kind, config string, lambda, mu, lambda2, mu2, lambda3, mu3 float64, l, mm int) (source, error) {
+	switch kind {
 	case "hap":
 		var m *core.Model
-		if *config != "" {
+		if config != "" {
 			var err error
-			m, err = core.LoadModel(*config)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+			if m, err = core.LoadModel(config); err != nil {
+				return source{}, err
 			}
 		} else {
-			m = core.NewSymmetric(*lambda, *mu, *lambda2, *mu2, *lambda3, *mu3, *l, *mm)
+			m = core.NewSymmetric(lambda, mu, lambda2, mu2, lambda3, mu3, l, mm)
 		}
 		if err := m.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(haperr.ExitUsage)
+			return source{}, err
 		}
-		fmt.Printf("source: %s\n", m)
-		run = func(seed int64) *sim.RunResult {
-			c := cfg
-			c.Seed = seed
-			return sim.RunHAP(m, c)
-		}
+		return source{hap: m, name: m.String()}, nil
 	case "poisson":
-		rate := core.NewSymmetric(*lambda, *mu, *lambda2, *mu2, *lambda3, *mu3, *l, *mm).MeanRate()
-		fmt.Printf("source: poisson(rate=%.4g)\n", rate)
-		run = func(seed int64) *sim.RunResult {
-			c := cfg
-			c.Seed = seed
-			return sim.RunPoisson(rate, *mu3, c)
-		}
+		rate := core.NewSymmetric(lambda, mu, lambda2, mu2, lambda3, mu3, l, mm).MeanRate()
+		return source{rate: rate, name: fmt.Sprintf("poisson(rate=%.4g)", rate)}, nil
 	case "onoff":
 		// Built literally (not via NewOnOff) so bad flag values surface as
 		// a usage error instead of the constructor's invariant panic.
-		tl := &core.TwoLevel{Lambda: *lambda, Mu: *mu, MsgLambda: *lambda3, MsgMu: *mu3}
+		tl := &core.TwoLevel{Lambda: lambda, Mu: mu, MsgLambda: lambda3, MsgMu: mu3}
 		if err := tl.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(haperr.ExitUsage)
+			return source{}, err
 		}
-		fmt.Printf("source: onoff(ν=%.4g, γ=%.4g)\n", tl.Nu(), tl.MsgLambda)
-		run = func(seed int64) *sim.RunResult {
-			c := cfg
-			c.Seed = seed
-			return sim.RunOnOff(tl, c)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown source %q\n", *source)
-		os.Exit(haperr.ExitUsage)
+		return source{onoff: tl, name: fmt.Sprintf("onoff(ν=%.4g, γ=%.4g)", tl.Nu(), tl.MsgLambda)}, nil
 	}
-
-	var res *sim.RunResult
-	if *reps > 1 {
-		agg, aggErr := sim.ReplicateRunsContext(ctx, *reps, *seed, *workers,
-			func(rep int, seed int64) *sim.RunResult { return run(seed) })
-		fmt.Printf("\n%d replications on %d workers, wall %v\n",
-			*reps, par.Workers(*workers, *reps), agg.Elapsed)
-		fmt.Printf("events %d, arrivals %d, departures %d\n",
-			agg.Events, agg.Arrivals, agg.Departures)
-		if agg.Skipped > 0 {
-			fmt.Printf("warning: %d replications never started (cancelled)\n", agg.Skipped)
-		}
-		if agg.Truncated {
-			fmt.Println("warning: at least one replication stopped before its horizon")
-		}
-		if agg.Merged != nil {
-			fmt.Printf("mean delay         %.5g s ± %.3g (95%% CI over %d reps)\n",
-				agg.Delay.Mean(), agg.HalfWidth, agg.Delay.N())
-			fmt.Printf("pooled delay       %.5g s (std %.4g, max %.4g, n=%d)\n",
-				agg.Merged.MeanDelay(), agg.Merged.Delays.Std(), agg.Merged.Delays.Max(),
-				agg.Merged.Delays.N())
-			fmt.Printf("mean queue length  %.5g (max %g)\n",
-				agg.Merged.MeanQueue(), agg.Merged.Queue.Max())
-		}
-		writeMemProfile(*memProf)
-		if aggErr != nil {
-			fmt.Fprintln(os.Stderr, aggErr)
-			os.Exit(haperr.ExitCode(aggErr))
-		}
-		return
-	}
-	res = run(*seed)
-
-	meas := res.Meas
-	fmt.Printf("\nevents %d, arrivals %d, departures %d, wall %v\n",
-		res.Events, res.Arrivals, res.Departures, res.Elapsed)
-	if res.Truncated {
-		fmt.Println("warning: run stopped before the horizon (event budget or cancellation)")
-	}
-	fmt.Printf("observed rate      %.5g msgs/s\n", meas.ObservedRate())
-	fmt.Printf("mean delay         %.5g s (std %.4g, max %.4g)\n",
-		meas.MeanDelay(), meas.Delays.Std(), meas.Delays.Max())
-	fmt.Printf("mean queue length  %.5g (max %g)\n", meas.MeanQueue(), meas.Queue.Max())
-	if *busy {
-		bt := &meas.Busy
-		fmt.Printf("busy periods       %d (busy fraction %.3g)\n", bt.Mountains(), bt.BusyFraction())
-		fmt.Printf("  busy   mean %.4g var %.4g\n", bt.Busy.Mean(), bt.Busy.Var())
-		fmt.Printf("  idle   mean %.4g var %.4g\n", bt.Idle.Mean(), bt.Idle.Var())
-		fmt.Printf("  height mean %.4g var %.4g max %g\n", bt.Height.Mean(), bt.Height.Var(), bt.Height.Max())
-		longest, tallest := bt.Peak()
-		fmt.Printf("  longest mountain %.4g s, tallest %d messages\n", longest.Length(), tallest.Height)
-	}
-	if *queue > 0 && len(meas.QueueTrace) > 0 {
-		xs := make([]float64, len(meas.QueueTrace))
-		ys := make([]float64, len(meas.QueueTrace))
-		for i, p := range meas.QueueTrace {
-			xs[i], ys[i] = p.T, p.V
-		}
-		dx, dy := trace.Downsample(xs, ys, 600)
-		fmt.Print(trace.Chart(trace.ChartOptions{
-			Title: "queue length", XLabel: "time (s)", YLabel: "messages",
-		}, trace.Line{Name: "queue", Xs: dx, Ys: dy}))
-		if *csvOut != "" {
-			if err := trace.WriteCSV(*csvOut,
-				trace.Series{Name: "t", Values: xs},
-				trace.Series{Name: "queue", Values: ys}); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("queue trace written to %s\n", *csvOut)
-		}
-	}
-	writeMemProfile(*memProf)
-	if res.Err != nil {
-		fmt.Fprintln(os.Stderr, res.Err)
-		os.Exit(haperr.ExitCode(res.Err))
-	}
+	return source{}, haperr.Badf("unknown source %q", kind)
 }
 
 // runSharded simulates an aggregate of independent sources partitioned
 // across per-core engines (see sim.RunSharded) and prints the merged
 // statistics. Results are bit-identical for any -shards value.
-func runSharded(ctx context.Context, source string, shards, sources int, mcfg sim.MeasureConfig,
-	horizon float64, seed int64,
-	lambda, mu, lambda2, mu2, lambda3, mu3 float64, l, mm int, config, memProf, perStat string) {
+func runSharded(ctx context.Context, src source, shards, sources int, mcfg sim.MeasureConfig,
+	horizon float64, seed int64, perStat string) error {
 	if sources == 0 {
 		per := shards
 		if per <= 0 {
@@ -268,41 +232,19 @@ func runSharded(ctx context.Context, source string, shards, sources int, mcfg si
 	}
 	scfg := sim.ShardedConfig{Horizon: horizon, Seed: seed, Shards: shards, Measure: mcfg, Ctx: ctx}
 	if err := scfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(haperr.ExitUsage)
+		return err
 	}
 
 	var res *sim.ShardedResult
-	switch source {
-	case "hap":
-		var m *core.Model
-		if config != "" {
-			var err error
-			m, err = core.LoadModel(config)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-		} else {
-			m = core.NewSymmetric(lambda, mu, lambda2, mu2, lambda3, mu3, l, mm)
-		}
-		if err := m.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(haperr.ExitUsage)
-		}
-		fmt.Printf("source: %d × %s\n", sources, m)
-		res = sim.RunShardedHAP(m, sources, scfg)
-	case "onoff":
-		tl := &core.TwoLevel{Lambda: lambda, Mu: mu, MsgLambda: lambda3, MsgMu: mu3}
-		if err := tl.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(haperr.ExitUsage)
-		}
-		fmt.Printf("source: %d × onoff(ν=%.4g, γ=%.4g)\n", sources, tl.Nu(), tl.MsgLambda)
-		res = sim.RunShardedOnOff(tl, sources, scfg)
+	switch {
+	case src.hap != nil:
+		fmt.Printf("source: %d × %s\n", sources, src.name)
+		res = sim.RunShardedHAP(src.hap, sources, scfg)
+	case src.onoff != nil:
+		fmt.Printf("source: %d × %s\n", sources, src.name)
+		res = sim.RunShardedOnOff(src.onoff, sources, scfg)
 	default:
-		fmt.Fprintf(os.Stderr, "source %q does not support sharded aggregates (use hap or onoff)\n", source)
-		os.Exit(haperr.ExitUsage)
+		return haperr.Badf("source poisson does not support sharded aggregates (use hap or onoff)")
 	}
 
 	fmt.Printf("\nsharded aggregate: %d sources on %d shards, wall %v\n",
@@ -318,15 +260,10 @@ func runSharded(ctx context.Context, source string, shards, sources int, mcfg si
 		res.Merged.MeanQueue(), res.Merged.Queue.Max())
 	if perStat != "" {
 		if err := writePerStation(perStat, res); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	}
-	writeMemProfile(memProf)
-	if res.Err != nil {
-		fmt.Fprintln(os.Stderr, res.Err)
-		os.Exit(haperr.ExitCode(res.Err))
-	}
+	return res.Err
 }
 
 // stationJSON is one source's slice of a sharded aggregate in the
@@ -375,21 +312,4 @@ func writePerStation(path string, res *sim.ShardedResult) error {
 	}
 	fmt.Printf("per-station breakdown written to %s\n", path)
 	return nil
-}
-
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	runtime.GC() // flush recently freed objects for an accurate heap picture
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 }

@@ -12,13 +12,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
 	"strings"
 
+	"hap/internal/cli"
 	"hap/internal/core"
 	"hap/internal/haperr"
-	"hap/internal/obs"
 	"hap/internal/solver"
 	"hap/internal/trace"
 
@@ -47,95 +45,70 @@ func main() {
 		metrics = flag.String("metrics", "", "serve live metrics on this address (e.g. :9090 or 127.0.0.1:0)")
 	)
 	flag.Parse()
-	if *metrics != "" {
-		srv, err := obs.Serve(*metrics)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Printf("metrics: http://%s/metrics\n", srv.Addr())
-	}
-
-	// Ctrl-c (and an optional -timeout) cancel the context threaded into
-	// every solve; a cancelled run exits with the dedicated code.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	var m *core.Model
-	if *config != "" {
-		var err error
-		m, err = core.LoadModel(*config)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(haperr.ExitUsage)
-		}
-	} else {
-		m = core.NewSymmetric(*lambda, *mu, *lambda2, *mu2, *lambda3, *mu3, *l, *mm)
-	}
-	if err := m.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(haperr.ExitUsage)
-	}
-	fmt.Printf("model: %s\n", m)
-	if _, uniform := m.UniformServiceRate(); uniform {
-		fmt.Printf("mean users %.4g, mean applications %.4g, utilisation %.4g\n\n",
-			m.MeanUsers(), m.MeanApps(), m.Utilization())
-	} else {
-		fmt.Printf("mean users %.4g, mean applications %.4g (heterogeneous service rates)\n\n",
-			m.MeanUsers(), m.MeanApps())
-	}
-
-	opts := &solver.Options{MaxUsers: *maxU, MaxApps: *maxA, MaxQueue: *maxZ, Ctx: ctx}
-	var rows [][]string
-	var firstErr error
-	appendRow := func(r solver.Result, err error) {
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
+	cli.Main(cli.Options{Timeout: *timeout, Metrics: *metrics}, func(ctx context.Context) error {
+		var m *core.Model
+		if *config != "" {
+			var err error
+			if m, err = core.LoadModel(*config); err != nil {
+				return err
 			}
-			rows = append(rows, []string{r.Method, "-", "-", "-", "-", err.Error()})
-			return
+		} else {
+			m = core.NewSymmetric(*lambda, *mu, *lambda2, *mu2, *lambda3, *mu3, *l, *mm)
 		}
-		method := r.Method
-		if r.Degraded {
-			method += " (degraded)"
+		if err := m.Validate(); err != nil {
+			return err
 		}
-		rows = append(rows, []string{
-			method,
-			fmt.Sprintf("%.5g", r.MeanRate),
-			fmt.Sprintf("%.5g", r.Sigma),
-			fmt.Sprintf("%.5g", r.Delay),
-			fmt.Sprintf("%.5g", r.QueueLen),
-			r.Elapsed.String(),
-		})
-	}
-	for _, s := range strings.Split(*sols, ",") {
-		switch strings.TrimSpace(s) {
-		case "0":
-			appendRow(solver.Solution0(m, opts))
-		case "1":
-			appendRow(solver.Solution1(m, opts))
-		case "2":
-			appendRow(solver.Solution2(m, opts))
-		case "exact", "mg":
-			appendRow(solver.Solution0MG(m, opts))
-		case "poisson":
-			appendRow(solver.Poisson(m))
-		case "":
-		default:
-			fmt.Fprintf(os.Stderr, "unknown solution %q\n", s)
-			os.Exit(haperr.ExitUsage)
+		fmt.Printf("model: %s\n", m)
+		if _, uniform := m.UniformServiceRate(); uniform {
+			fmt.Printf("mean users %.4g, mean applications %.4g, utilisation %.4g\n\n",
+				m.MeanUsers(), m.MeanApps(), m.Utilization())
+		} else {
+			fmt.Printf("mean users %.4g, mean applications %.4g (heterogeneous service rates)\n\n",
+				m.MeanUsers(), m.MeanApps())
 		}
-	}
-	fmt.Print(trace.Table([]string{"method", "λ̄", "σ", "delay", "queue", "elapsed"}, rows))
-	if firstErr != nil {
-		fmt.Fprintln(os.Stderr, firstErr)
-		os.Exit(haperr.ExitCode(firstErr))
-	}
+
+		opts := &solver.Options{MaxUsers: *maxU, MaxApps: *maxA, MaxQueue: *maxZ, Ctx: ctx}
+		var rows [][]string
+		var firstErr error
+		appendRow := func(r solver.Result, err error) {
+			if err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
+				rows = append(rows, []string{r.Method, "-", "-", "-", "-", err.Error()})
+				return
+			}
+			method := r.Method
+			if r.Degraded {
+				method += " (degraded)"
+			}
+			rows = append(rows, []string{
+				method,
+				fmt.Sprintf("%.5g", r.MeanRate),
+				fmt.Sprintf("%.5g", r.Sigma),
+				fmt.Sprintf("%.5g", r.Delay),
+				fmt.Sprintf("%.5g", r.QueueLen),
+				r.Elapsed.String(),
+			})
+		}
+		for _, s := range strings.Split(*sols, ",") {
+			switch strings.TrimSpace(s) {
+			case "0":
+				appendRow(solver.Solution0(m, opts))
+			case "1":
+				appendRow(solver.Solution1(m, opts))
+			case "2":
+				appendRow(solver.Solution2(m, opts))
+			case "exact", "mg":
+				appendRow(solver.Solution0MG(m, opts))
+			case "poisson":
+				appendRow(solver.Poisson(m))
+			case "":
+			default:
+				return haperr.Badf("unknown solution %q", s)
+			}
+		}
+		fmt.Print(trace.Table([]string{"method", "λ̄", "σ", "delay", "queue", "elapsed"}, rows))
+		return firstErr
+	})
 }

@@ -62,8 +62,8 @@ var (
 type Diag = haperr.Diag
 
 // ExitCode maps an error to the cmd/ binaries' shared exit-code
-// convention: 0 OK, 1 error, 2 usage, 3 unstable, 4 not converged,
-// 5 cancelled.
+// convention: 0 OK, 1 error, 2 usage (any error wrapping
+// ErrBadParameter), 3 unstable, 4 not converged, 5 cancelled.
 func ExitCode(err error) int { return haperr.ExitCode(err) }
 
 // Model is a 3-level HAP (see internal/core for the full API).

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"hap/internal/haperr"
 )
 
 // This file provides JSON (de)serialisation for models so the command-line
@@ -35,7 +37,7 @@ func ParseModel(b []byte) (*Model, error) {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
-		return nil, fmt.Errorf("core: parse model: %w", err)
+		return nil, haperr.Badf("core: parse model: %v", err)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hap/internal/haperr"
 )
 
 func TestModelJSONRoundTrip(t *testing.T) {
@@ -22,15 +25,17 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	wantClose(t, "rate", got.MeanRate(), m.MeanRate(), 1e-12)
 }
 
+// A malformed model is a bad parameter (exit 2 in the binaries), whether
+// the JSON does not decode or its rates are invalid.
 func TestParseModelRejectsInvalid(t *testing.T) {
-	if _, err := ParseModel([]byte(`{"Lambda": -1, "Mu": 0.1, "Apps": []}`)); err == nil {
-		t.Error("invalid rates accepted")
-	}
-	if _, err := ParseModel([]byte(`{"Bogus": 1}`)); err == nil {
-		t.Error("unknown field accepted")
-	}
-	if _, err := ParseModel([]byte(`not json`)); err == nil {
-		t.Error("garbage accepted")
+	for _, doc := range []string{
+		`{"Lambda": -1, "Mu": 0.1, "Apps": []}`,
+		`{"Bogus": 1}`,
+		`not json`,
+	} {
+		if _, err := ParseModel([]byte(doc)); !errors.Is(err, haperr.ErrBadParameter) {
+			t.Errorf("ParseModel(%s): err %v, want ErrBadParameter", doc, err)
+		}
 	}
 }
 

@@ -10,13 +10,13 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"hap/internal/cli"
 	"hap/internal/fit"
 	"hap/internal/mmpp"
 	"hap/internal/netgen"
@@ -91,10 +91,11 @@ func runStreamOnce(t *testing.T, cfg Config, times []float64) published {
 	return s.snapshot()
 }
 
-// TestDaemonSIGTERMDrain delivers a real SIGTERM mid-ingest and asserts
-// the daemon drains: Run returns nil, every stream flushes a final fit,
-// and the sockets are gone. Run under -race this also shakes out ingest /
-// pool-worker / API data races.
+// TestDaemonSIGTERMDrain delivers a real SIGTERM mid-ingest, through the
+// signal context cmd/hapd runs under, and asserts the daemon drains: Run
+// returns nil, every stream flushes a final fit, and the sockets are
+// gone. Run under -race this also shakes out ingest / pool-worker / API
+// data races.
 func TestDaemonSIGTERMDrain(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.RefitEvery = 1000 // keep mid-run refits rare; the drain flush is the point
@@ -102,7 +103,7 @@ func TestDaemonSIGTERMDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM)
+	ctx, stop := cli.SignalContext()
 	defer stop()
 
 	runDone := make(chan error, 1)

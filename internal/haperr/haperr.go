@@ -85,8 +85,9 @@ func (d Diag) String() string {
 	return s
 }
 
-// Exit codes shared by the cmd/ binaries. 2 is reserved for usage errors
-// (flag parsing), following the flag package's own convention.
+// Exit codes shared by the cmd/ binaries. 2 is for usage errors: a flag
+// that does not parse (the flag package's own convention) and any error
+// wrapping ErrBadParameter.
 const (
 	ExitOK           = 0
 	ExitError        = 1 // any other failure
@@ -105,6 +106,8 @@ func ExitCode(err error) int {
 		return ExitOK
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return ExitCancelled
+	case errors.Is(err, ErrBadParameter):
+		return ExitUsage
 	case errors.Is(err, ErrUnstable):
 		return ExitUnstable
 	case errors.Is(err, ErrNotConverged), errors.Is(err, ErrTrivialRoot):

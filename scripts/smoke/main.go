@@ -45,6 +45,7 @@ var rows = []row{
 	{"fit", []string{"hapgen", "hapfit"}, fitRow},
 	{"ctrl", []string{"hapd"}, ctrlRow},
 	{"net", []string{"hapnet"}, netRow},
+	{"cli", []string{"hapsim", "hapsolve", "hapnet", "hapgen", "hapfit", "hapd", "experiments"}, cliRow},
 }
 
 func main() { os.Exit(run(os.Args[1:])) }
@@ -56,7 +57,7 @@ func run(names []string) int {
 		for _, name := range names {
 			i := slices.IndexFunc(rows, func(r row) bool { return r.name == name })
 			if i < 0 {
-				fmt.Fprintf(os.Stderr, "smoke: unknown row %q; usage: go run ./scripts/smoke [metrics|shard|fit|ctrl|net ...]\n", name)
+				fmt.Fprintf(os.Stderr, "smoke: unknown row %q; usage: go run ./scripts/smoke [metrics|shard|fit|ctrl|net|cli ...]\n", name)
 				return 2
 			}
 			todo = append(todo, rows[i])
@@ -297,7 +298,7 @@ func ctrlRow(dir string) error {
 		return fmt.Errorf("hapd %w", err)
 	}
 	if !strings.Contains(out, announceDrained) {
-		return fmt.Errorf("hapd stdout lacks %q:\n%s", announceDrained, out)
+		return fmt.Errorf("hapd output lacks %q:\n%s", announceDrained, out)
 	}
 	return nil
 }
@@ -423,6 +424,56 @@ func netRow(dir string) error {
 	})
 }
 
+// cliRow: every binary reports a bad flag value as a usage error (exit
+// status 2, one stderr line, no panic), and a hapsim or experiments run
+// that -timeout cuts short exits 5 (cancelled) and still leaves a CPU and
+// a heap profile that go tool pprof reads. It checks every case and
+// reports each one that fails.
+func cliRow(dir string) error {
+	short := filepath.Join(dir, "short.csv")
+	if err := os.WriteFile(short, []byte("0.1\n0.2\n0.3\n"), 0o644); err != nil {
+		return err
+	}
+	var errs []error
+	for _, c := range [][]string{
+		{"hapsim", "-horizon", "-5"},
+		{"hapsolve", "-lambda", "NaN"},
+		{"hapnet", "-source", "poisson", "-rate", "NaN"},
+		{"hapgen", "-mode", "trace", "-model-seconds", "NaN", "-out", filepath.Join(dir, "nan.csv")},
+		{"hapfit", "-in", short},
+		{"hapd", "-mu3", "1", "-target", "1", "-window", "NaN"},
+		{"experiments", "-experiment", "E1", "-scale", "NaN", "-results", ""},
+	} {
+		errs = append(errs, usageError(filepath.Join(dir, c[0]), c[1:]...))
+	}
+	errs = append(errs,
+		cutShort(filepath.Join(dir, "hapsim"), "-horizon", "5e7", "-timeout", "1500ms"),
+		cutShort(filepath.Join(dir, "experiments"), "-results", "", "-timeout", "1s"))
+	return errors.Join(errs...)
+}
+
+// cutShort runs bin with args, which -timeout must cut short, plus a CPU
+// and a heap profile beside it. It fails unless bin exits 5 (cancelled)
+// and go tool pprof reads both profiles.
+func cutShort(bin string, args ...string) error {
+	cpu, heap := bin+".cpu.prof", bin+".heap.prof"
+	cmd := exec.Command(bin, append(args, "-cpuprofile", cpu, "-memprofile", heap)...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	var errs []error
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 5 {
+		errs = append(errs, fmt.Errorf("%s: %v; want exit status 5 (cancelled), stderr:\n%s",
+			strings.Join(cmd.Args, " "), err, stderr.String()))
+	}
+	for _, p := range []string{cpu, heap} {
+		if out, err := exec.Command("go", "tool", "pprof", "-top", p).CombinedOutput(); err != nil {
+			errs = append(errs, fmt.Errorf("go tool pprof -top %s: %v\n%s", filepath.Base(p), err, out))
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // checkTandem checks hapnet's -json report of a tandem run: not
 // truncated, traffic delivered, every node but the last forwarding, and
 // offered = delivered + dropped (buffer full or hop limit) + in flight.
@@ -466,10 +517,10 @@ func checkTandem(raw []byte) error {
 // the exit after SIGTERM.
 const deadline = 30 * time.Second
 
-// Stdout announcements the rows wait for. Every binary prints
-// announceMetrics + ADDR + "/metrics" under -metrics; hapd prints one
-// announceStream line per UDP sink, then announceAPI + ADDR, and
-// announceDrained on a clean shutdown.
+// Announcements the rows wait for. Every binary prints announceMetrics +
+// ADDR + "/metrics" on stderr under -metrics; hapd prints one
+// announceStream line per UDP sink on stdout, then announceAPI + ADDR,
+// and announceDrained on a clean shutdown.
 const (
 	announceMetrics = "metrics: http://"
 	announceAPI     = "api: http://"
@@ -478,33 +529,34 @@ const (
 
 func announceStream(i int) string { return fmt.Sprintf("stream s%d: udp ", i) }
 
-// child is a running binary whose stdout is drained in the background,
-// so it never blocks on a full pipe.
+// child is a running binary whose stdout and stderr, merged, are drained
+// in the background, so it never blocks on a full pipe.
 type child struct {
 	cmd *exec.Cmd
-	out <-chan string // all of stdout, once it closes
+	out <-chan string // all of the output, once it closes
 }
 
-// start runs bin and waits for the first stdout line beginning with each
-// of the prefixes, returning the rest of each line in prefix order.
+// start runs bin and waits for the first output line, on stdout or
+// stderr, beginning with each of the prefixes, returning the rest of
+// each line in prefix order.
 func start(bin string, prefixes []string, args ...string) (*child, []string, error) {
 	cmd := exec.Command(bin, args...)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
+	output, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, nil, err
 	}
+	cmd.Stderr = cmd.Stdout
 	if err := cmd.Start(); err != nil {
 		return nil, nil, err
 	}
-	found, out := watch(stdout, prefixes)
+	found, out := watch(output, prefixes)
 	c := &child{cmd: cmd, out: out}
 	select {
 	case vals, ok := <-found:
 		if ok {
 			return c, vals, nil
 		}
-		err = fmt.Errorf("%s exited without announcing %q", filepath.Base(bin), prefixes)
+		err = fmt.Errorf("%s exited without announcing %q:\n%s", filepath.Base(bin), prefixes, <-out)
 	case <-time.After(deadline):
 		err = fmt.Errorf("%s did not announce %q within %v", filepath.Base(bin), prefixes, deadline)
 	}
@@ -528,8 +580,8 @@ func (c *child) kill() {
 	c.cmd.Wait()
 }
 
-// term sends SIGTERM and waits for the child to close stdout and exit 0,
-// returning its whole stdout. stdout is read to the end before Wait,
+// term sends SIGTERM and waits for the child to close its output and
+// exit 0, returning the whole output. It is read to the end before Wait,
 // which closes the pipe.
 func (c *child) term() (string, error) {
 	if err := c.cmd.Process.Signal(syscall.SIGTERM); err != nil {
@@ -538,7 +590,7 @@ func (c *child) term() (string, error) {
 	select {
 	case out := <-c.out:
 		if err := c.cmd.Wait(); err != nil {
-			return out, fmt.Errorf("exited non-zero after SIGTERM: %w", err)
+			return out, fmt.Errorf("exited non-zero after SIGTERM: %w\n%s", err, out)
 		}
 		return out, nil
 	case <-time.After(deadline):
