@@ -281,13 +281,13 @@ func SimulateNetworkReplicated(t *NetTopology, ings []NetIngress, cfg NetConfig,
 // MaxWorkload finds the largest user arrival-rate multiplier whose
 // Solution-2 delay meets the target (admission control).
 func MaxWorkload(m *Model, targetDelay float64) (factor, delay float64, err error) {
-	return admission.MaxWorkload(m, targetDelay, 0, 0)
+	return admission.MaxWorkload(m, targetDelay)
 }
 
 // RequiredBandwidth finds the smallest service rate whose Solution-2 delay
 // meets the target (bandwidth allocation).
 func RequiredBandwidth(m *Model, targetDelay float64) (float64, error) {
-	return admission.RequiredBandwidth(m, targetDelay, 0)
+	return admission.RequiredBandwidth(m, targetDelay)
 }
 
 // DelayQuantiles computes exact sojourn-time quantiles (e.g. the p99) of

@@ -10,104 +10,61 @@ package admission
 
 import (
 	"errors"
-	"fmt"
+	"math"
 
 	"hap/internal/core"
 	"hap/internal/gm1"
+	"hap/internal/haperr"
 	"hap/internal/solver"
 )
 
 // ErrInfeasible reports that no setting meets the target.
 var ErrInfeasible = errors.New("admission: target delay infeasible")
 
-// MaxWorkload finds the largest user arrival-rate multiplier f such that
-// the scaled model's Solution-2 mean delay stays within targetDelay, by
-// bisection on f ∈ (0, fMax]. It returns the multiplier and the delay at
-// that setting. The returned model rate is f·λ.
-func MaxWorkload(m *core.Model, targetDelay, fMax float64, tol float64) (f float64, delay float64, err error) {
-	return MaxWorkloadOpt(m, targetDelay, fMax, tol, nil)
-}
+const (
+	// probe is the tiny load every headroom search first proves feasible.
+	probe = 1e-6
+	// scaleTol is the headroom bisection's stopping width on the scale.
+	scaleTol = 1e-4
+	// workloadCeiling is MaxWorkload's largest user-rate multiplier.
+	workloadCeiling = 4
+	// bandwidthTol is RequiredBandwidth's stopping width relative to μ”.
+	bandwidthTol = 1e-6
+)
 
-// MaxWorkloadOpt is MaxWorkload with solver options. The bisection
-// carries the σ of each successful Solution-2 evaluation into the next
-// one as a warm start (the workload multiplier moves σ smoothly), so the
-// search does a fraction of the transform evaluations a cold sweep would.
-// sopt may be nil; it is copied, never mutated.
-func MaxWorkloadOpt(m *core.Model, targetDelay, fMax float64, tol float64, sopt *solver.Options) (f float64, delay float64, err error) {
-	if targetDelay <= 0 {
-		return 0, 0, fmt.Errorf("admission: target delay must be positive")
-	}
-	if fMax <= 0 {
-		fMax = 4
-	}
-	if tol <= 0 {
-		tol = 1e-4
-	}
+// MaxWorkload finds the largest user arrival-rate multiplier f ∈ (0, 4]
+// such that the scaled model's Solution-2 mean delay stays within
+// targetDelay. It returns the multiplier and the delay at that setting.
+// The returned model rate is f·λ. Each successful evaluation's σ warm
+// starts the next (the multiplier moves σ smoothly), so the search does
+// a fraction of the transform evaluations a cold sweep would.
+func MaxWorkload(m *core.Model, targetDelay float64) (f float64, delay float64, err error) {
 	var opts solver.Options
-	if sopt != nil {
-		opts = *sopt
-	}
-	eval := func(f float64) (float64, bool) {
-		scaled := m.Scale(core.LevelUser, f)
-		res, err := solver.Solution2(scaled, &opts)
+	return maxFeasible(func(f float64) (float64, bool) {
+		res, err := solver.Solution2(m.Scale(core.LevelUser, f), &opts)
 		if err != nil {
 			return 0, false // unstable or invalid → over target
 		}
 		opts.WarmSigma = res.Sigma
 		return res.Delay, true
-	}
-	// The delay is increasing in f; make sure even a tiny load meets the
-	// target. The probe point itself becomes the bisection's feasible
-	// lower bound: if every interior evaluation fails (the solver can be
-	// unstable across the whole band), the search must still return this
-	// just-proven operating point, not ErrInfeasible.
-	const probe = 1e-6
-	lo, hi := 0.0, fMax
-	d0, ok := eval(probe)
-	if !ok || d0 > targetDelay {
-		return 0, 0, ErrInfeasible
-	}
-	lo, delay = probe, d0
-	if d, ok := eval(fMax); ok && d <= targetDelay {
-		return fMax, d, nil
-	}
-	for hi-lo > tol {
-		mid := (lo + hi) / 2
-		if d, ok := eval(mid); ok && d <= targetDelay {
-			lo = mid
-			delay = d
-		} else {
-			hi = mid
-		}
-	}
-	return lo, delay, nil
+	}, targetDelay, workloadCeiling)
 }
 
-// MaxScale is the transform-level twin of MaxWorkload for fitted arrival
-// processes: given the interarrival Laplace transform and mean rate of
-// the process at every arrival-scale multiplier f (e.g. an MMPP2 fitted
-// to a live stream with both state rates scaled by f), it bisects for
-// the largest f ∈ (0, fMax] whose G/M/1 delay at service rate mu stays
-// within targetDelay. Headroom f ≥ 1 means the observed traffic itself
-// meets the target — the control plane's admit condition. Successive
-// evaluations chain the σ warm start, so a full search costs little more
-// than one cold solve.
+// MaxScale is MaxWorkload for fitted arrival processes: given the
+// interarrival Laplace transform and mean rate of the process at every
+// arrival-scale multiplier f (e.g. an MMPP fitted to a live stream with
+// its state rates scaled by f), it finds the largest f ∈ (0, fMax] whose
+// G/M/1 delay at service rate mu stays within targetDelay. Headroom
+// f ≥ 1 means the observed traffic itself meets the target — the control
+// plane's admit condition. Successive evaluations chain the σ warm start,
+// so a full search costs little more than one cold solve.
 func MaxScale(laplaceAt func(scale float64) gm1.Laplace, rateAt func(scale float64) float64,
-	mu, targetDelay, fMax, tol float64) (f float64, delay float64, err error) {
-	if targetDelay <= 0 {
-		return 0, 0, fmt.Errorf("admission: target delay must be positive")
-	}
+	mu, targetDelay, fMax float64) (f float64, delay float64, err error) {
 	if !(mu > 0) {
-		return 0, 0, fmt.Errorf("admission: service rate must be positive")
-	}
-	if fMax <= 0 {
-		fMax = 4
-	}
-	if tol <= 0 {
-		tol = 1e-4
+		return 0, 0, haperr.Badf("admission: service rate must be positive (got %g)", mu)
 	}
 	var opts gm1.Options
-	eval := func(f float64) (float64, bool) {
+	return maxFeasible(func(f float64) (float64, bool) {
 		lam := rateAt(f)
 		if !(lam > 0) || lam >= mu {
 			return 0, false
@@ -118,25 +75,35 @@ func MaxScale(laplaceAt func(scale float64) gm1.Laplace, rateAt func(scale float
 		}
 		opts.WarmSigma = res.Sigma
 		return res.Delay, true
+	}, targetDelay, fMax)
+}
+
+// maxFeasible is the headroom bisection every search shares: the largest
+// f ∈ (0, fMax], to within scaleTol, whose delayAt(f) succeeds and meets
+// target. The delay is increasing in f. The tiny-load probe must meet the
+// target, and it becomes the feasible lower bound: if every interior
+// evaluation fails (the solver can be unstable across the whole band),
+// the search still returns this proven operating point, not
+// ErrInfeasible.
+func maxFeasible(delayAt func(f float64) (float64, bool), target, fMax float64) (f float64, delay float64, err error) {
+	if !(target > 0) {
+		return 0, 0, haperr.Badf("admission: target delay must be positive (got %g)", target)
 	}
-	// As in MaxWorkloadOpt, the successful tiny-load probe seeds the
-	// feasible bound so an all-failing interior band still returns the
-	// proven point instead of ErrInfeasible.
-	const probe = 1e-6
-	lo, hi := 0.0, fMax
-	d0, ok := eval(probe)
-	if !ok || d0 > targetDelay {
+	if !(fMax > 0) || math.IsInf(fMax, 1) {
+		return 0, 0, haperr.Badf("admission: search ceiling must be positive and finite (got %g)", fMax)
+	}
+	d0, ok := delayAt(probe)
+	if !ok || d0 > target {
 		return 0, 0, ErrInfeasible
 	}
-	lo, delay = probe, d0
-	if d, ok := eval(fMax); ok && d <= targetDelay {
+	if d, ok := delayAt(fMax); ok && d <= target {
 		return fMax, d, nil
 	}
-	for hi-lo > tol {
+	lo, hi, delay := probe, fMax, d0
+	for hi-lo > scaleTol {
 		mid := (lo + hi) / 2
-		if d, ok := eval(mid); ok && d <= targetDelay {
-			lo = mid
-			delay = d
+		if d, ok := delayAt(mid); ok && d <= target {
+			lo, delay = mid, d
 		} else {
 			hi = mid
 		}
@@ -147,12 +114,9 @@ func MaxScale(laplaceAt func(scale float64) gm1.Laplace, rateAt func(scale float
 // RequiredBandwidth finds the smallest message service rate μ” whose
 // Solution-2 delay meets targetDelay, by bisection — the paper's
 // bandwidth-allocation direction. The model's own μ” is ignored.
-func RequiredBandwidth(m *core.Model, targetDelay float64, tol float64) (mu float64, err error) {
-	if targetDelay <= 0 {
-		return 0, fmt.Errorf("admission: target delay must be positive")
-	}
-	if tol <= 0 {
-		tol = 1e-6
+func RequiredBandwidth(m *core.Model, targetDelay float64) (mu float64, err error) {
+	if !(targetDelay > 0) {
+		return 0, haperr.Badf("admission: target delay must be positive (got %g)", targetDelay)
 	}
 	lam := m.MeanRate()
 	lo := lam * (1 + 1e-9) // stability floor
@@ -173,7 +137,7 @@ func RequiredBandwidth(m *core.Model, targetDelay float64, tol float64) (mu floa
 	if d, ok := withMu(hi); !ok || d > targetDelay {
 		return 0, ErrInfeasible
 	}
-	for hi-lo > tol*hi {
+	for hi-lo > bandwidthTol*hi {
 		mid := (lo + hi) / 2
 		if d, ok := withMu(mid); ok && d <= targetDelay {
 			hi = mid

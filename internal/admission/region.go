@@ -164,8 +164,9 @@ func (r *Region) EffectiveBandwidth() []float64 {
 
 // HAPHeadroom compares the Poisson-based λmax with a HAP-corrected one: at
 // the same target delay a HAP stream is admitted only up to the rate where
-// the Solution-2 G/M/1 delay meets the target. The returned factor (<= 1)
-// is the admission-capacity penalty for hierarchical burstiness — the
+// the G/M/1 delay meets the target, searched by MaxScale up to the
+// stability limit μ/rateAt(1). The returned factor (<= 1) is the
+// admission-capacity penalty for hierarchical burstiness — the
 // quantitative form of Section 6's warning against engineering with
 // Poisson models.
 func HAPHeadroom(laplaceAt func(scale float64) func(float64) float64, rateAt func(scale float64) float64, mu, target float64) (float64, error) {
@@ -173,32 +174,10 @@ func HAPHeadroom(laplaceAt func(scale float64) func(float64) float64, rateAt fun
 	if lamMaxPoisson <= 0 {
 		return 0, ErrInfeasible
 	}
-	ok := func(scale float64) bool {
-		lam := rateAt(scale)
-		if lam >= mu {
-			return false
-		}
-		res, err := gm1.Solve(laplaceAt(scale), lam, mu, nil)
-		return err == nil && res.Delay <= target
+	scale, _, err := MaxScale(func(f float64) gm1.Laplace { return laplaceAt(f) }, rateAt,
+		mu, target, mu/rateAt(1))
+	if err != nil {
+		return 0, err
 	}
-	if !ok(1e-6) {
-		return 0, ErrInfeasible
-	}
-	// Grow the bracket up to the stability limit, then bisect the scale
-	// where the HAP delay crosses the target.
-	lo, hi := 1e-6, 1.0
-	for ok(hi) && rateAt(hi*2) < mu {
-		lo = hi
-		hi *= 2
-	}
-	for i := 0; i < 60 && hi-lo > 1e-7*hi; i++ {
-		mid := (lo + hi) / 2
-		if ok(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	lamHAP := rateAt(lo)
-	return math.Min(1, lamHAP/lamMaxPoisson), nil
+	return math.Min(1, rateAt(scale)/lamMaxPoisson), nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,7 +47,8 @@ type Config struct {
 	// TargetDelay is the admission delay target in seconds (per stream
 	// unless overridden; always the aggregate's target).
 	TargetDelay float64
-	// FMax caps the admission headroom search (default 4).
+	// FMax caps the admission headroom search (0 means the default 4;
+	// must be finite and non-negative).
 	FMax float64
 	// RefitEvery re-fits a stream every N arrivals (default 2000).
 	RefitEvery int
@@ -94,6 +96,9 @@ func (c *Config) validate() error {
 	if !(c.TargetDelay > 0) {
 		return haperr.Badf("ctrl: target delay must be positive (got %g)", c.TargetDelay)
 	}
+	if !(c.FMax >= 0) || math.IsInf(c.FMax, 1) {
+		return haperr.Badf("ctrl: headroom search ceiling must be finite and non-negative (got %g)", c.FMax)
+	}
 	if len(c.Overrides) > len(c.ListenAddrs) {
 		return haperr.Badf("ctrl: %d overrides for %d streams", len(c.Overrides), len(c.ListenAddrs))
 	}
@@ -109,7 +114,7 @@ func (c *Config) applyDefaults() {
 	if c.HTTPAddr == "" {
 		c.HTTPAddr = "127.0.0.1:0"
 	}
-	if c.FMax <= 0 {
+	if c.FMax == 0 {
 		c.FMax = 4
 	}
 	if c.RefitEvery <= 0 {

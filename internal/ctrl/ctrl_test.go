@@ -3,6 +3,7 @@ package ctrl
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -18,6 +19,7 @@ import (
 
 	"hap/internal/cli"
 	"hap/internal/fit"
+	"hap/internal/haperr"
 	"hap/internal/mmpp"
 	"hap/internal/netgen"
 )
@@ -329,8 +331,8 @@ func TestSigmaChainResets(t *testing.T) {
 	cool := mmpp.MMPP2{R0: 50, R1: 200, Q01: 1, Q10: 1}
 	var pub published
 	s.solveAndAdmit(cool, &pub)
-	if !pub.solveOK || s.warmSigma == 0 {
-		t.Fatalf("baseline solve failed: %+v (warmSigma=%g)", pub, s.warmSigma)
+	if !pub.solveOK || s.sigma.warm == 0 {
+		t.Fatalf("baseline solve failed: %+v (warm sigma=%g)", pub, s.sigma.warm)
 	}
 
 	// A small move (≤2×) keeps the chain: no reset counted.
@@ -351,11 +353,11 @@ func TestSigmaChainResets(t *testing.T) {
 	if got := obsSigmaResets.Value() - base; got != 1 {
 		t.Errorf("4x rate jump reset the sigma chain %d times, want 1", got)
 	}
-	if !pubHot.solveOK || s.warmSigma != pubHot.sigma {
-		t.Errorf("chain not re-seeded after the jump: warmSigma=%g pub=%+v", s.warmSigma, pubHot)
+	if !pubHot.solveOK || s.sigma.warm != pubHot.sigma {
+		t.Errorf("chain not re-seeded after the jump: warm sigma=%g pub=%+v", s.sigma.warm, pubHot)
 	}
-	if s.lastRate != hot.MeanRate() {
-		t.Errorf("lastRate = %g, want %g", s.lastRate, hot.MeanRate())
+	if s.sigma.lastRate != hot.MeanRate() {
+		t.Errorf("lastRate = %g, want %g", s.sigma.lastRate, hot.MeanRate())
 	}
 
 	// A failed solve (fitted load unstable at the service rate) must not
@@ -364,15 +366,15 @@ func TestSigmaChainResets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	su.warmSigma, su.lastRate = 0.5, cool.MeanRate()
+	su.sigma = sigmaChain{warm: 0.5, lastRate: cool.MeanRate()}
 	base = obsSigmaResets.Value()
 	var pubErr published
 	su.solveAndAdmit(cool, &pubErr) // mean rate ~125 against μ=10: unstable
 	if pubErr.solveOK {
 		t.Fatal("unstable load solved")
 	}
-	if su.warmSigma != 0 {
-		t.Errorf("warmSigma = %g after solve error, want 0", su.warmSigma)
+	if su.sigma.warm != 0 {
+		t.Errorf("warm sigma = %g after solve error, want 0", su.sigma.warm)
 	}
 	if got := obsSigmaResets.Value() - base; got != 1 {
 		t.Errorf("solve error reset the sigma chain %d times, want 1", got)
@@ -383,17 +385,17 @@ func TestSigmaChainResets(t *testing.T) {
 
 	// The aggregate chain follows the same hygiene: a failed solve at an
 	// unchanged merged rate (no jump reset) clears the chain, counted once.
-	d := &Daemon{cfg: cfg}
+	d := &Daemon{cfg: cfg, streams: []*Stream{s}}
 	d.cfg.ServiceRate = 10
-	d.agg.warmSigma, d.agg.lastRate = 0.5, cool.MeanRate()
+	s.pub = published{hasFit: true, fit: fit.RefitReport{R0: cool.R0, R1: cool.R1, Q01: cool.Q01, Q10: cool.Q10}}
+	d.agg.sigma = sigmaChain{warm: 0.5, lastRate: cool.MeanRate()}
 	base = obsSigmaResets.Value()
-	var aggErr aggPublished
-	d.solveAggregate([]mmpp.MMPP2{cool}, &aggErr) // merged rate ~125 against μ=10
-	if aggErr.solveOK {
+	d.recomputeAggregate(time.Now()) // merged rate ~125 against μ=10
+	if aggErr := d.agg.snapshot(); aggErr.solveOK {
 		t.Fatal("unstable aggregate solved")
 	}
-	if d.agg.warmSigma != 0 {
-		t.Errorf("aggregate warmSigma = %g after solve error, want 0", d.agg.warmSigma)
+	if d.agg.sigma.warm != 0 {
+		t.Errorf("aggregate warm sigma = %g after solve error, want 0", d.agg.sigma.warm)
 	}
 	if got := obsSigmaResets.Value() - base; got != 1 {
 		t.Errorf("aggregate solve error reset the sigma chain %d times, want 1", got)
@@ -614,9 +616,8 @@ func TestAggregateRecompute(t *testing.T) {
 		s.mu.Lock()
 		s.pub = published{
 			hasFit: true, fitAt: time.Now(), converged: true,
-			solveOK: true, admitOK: true,
-			fit: fit.RefitReport{R0: m.R0, R1: m.R1, Q01: m.Q01, Q10: m.Q10},
-			dec: decision{Admit: admit},
+			fit:     fit.RefitReport{R0: m.R0, R1: m.R1, Q01: m.Q01, Q10: m.Q10},
+			verdict: verdict{solveOK: true, admitOK: true, dec: decision{Admit: admit}},
 		}
 		s.mu.Unlock()
 	}
@@ -854,5 +855,20 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{ListenAddrs: []string{"127.0.0.1:0"}, ServiceRate: 1, TargetDelay: 1,
 		Overrides: []StreamOverride{{TargetDelay: -1}}}); err == nil {
 		t.Error("negative override accepted")
+	}
+	// The headroom search ceiling: NaN, infinite or negative is a bad
+	// parameter; 0 keeps the default.
+	for _, fMax := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		_, err := New(Config{ListenAddrs: []string{"127.0.0.1:0"}, ServiceRate: 1, TargetDelay: 1, FMax: fMax})
+		if !errors.Is(err, haperr.ErrBadParameter) {
+			t.Errorf("FMax %g: err = %v, want ErrBadParameter", fMax, err)
+		}
+	}
+	c := Config{ListenAddrs: []string{"127.0.0.1:0"}, ServiceRate: 1, TargetDelay: 1}
+	if err := c.validate(); err != nil {
+		t.Errorf("FMax 0 rejected: %v", err)
+	}
+	if c.applyDefaults(); c.FMax != 4 {
+		t.Errorf("FMax 0 defaults to %g, want 4", c.FMax)
 	}
 }
