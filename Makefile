@@ -79,8 +79,9 @@ net-smoke:
 	$(GO) run ./scripts/smoke net
 
 # cli-smoke asserts the runner every cmd/ binary shares: each of the
-# seven reports one bad flag value as a usage error (exit 2, one stderr
-# line, no panic), and hapsim and experiments runs that -timeout cuts
+# seven reports a bad flag value as a usage error (exit 2, one stderr
+# line, no panic), negative model and tandem sizes and an infinite hapd
+# -fmax included, and hapsim and experiments runs that -timeout cuts
 # short exit 5 and leave CPU and heap profiles that go tool pprof reads.
 cli-smoke:
 	$(GO) run ./scripts/smoke cli

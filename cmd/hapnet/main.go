@@ -71,7 +71,7 @@ func main() {
 		)
 		switch *topoKind {
 		case "tandem":
-			mus := make([]float64, *nodes)
+			mus := make([]float64, max(*nodes, 0)) // Validate reports an empty tandem
 			for i := range mus {
 				mus[i] = *mu
 			}

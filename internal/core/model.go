@@ -181,10 +181,12 @@ func (m *Model) String() string {
 //	λ, μ            user level
 //	λ', μ'          per application type
 //	λ'', μ''        per message type
+//
+// A negative l or fanout counts as 0, which Validate reports.
 func NewSymmetric(lambda, mu, lambdaApp, muApp, lambdaMsg, muMsg float64, l, fanout int) *Model {
-	apps := make([]AppType, l)
+	apps := make([]AppType, max(l, 0))
 	for i := range apps {
-		msgs := make([]MessageType, fanout)
+		msgs := make([]MessageType, max(fanout, 0))
 		for j := range msgs {
 			msgs[j] = MessageType{
 				Name:   fmt.Sprintf("msg-%d-%d", i+1, j+1),

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
+
+	"hap/internal/haperr"
 )
 
 func wantClose(t *testing.T, name string, got, want, relTol float64) {
@@ -76,6 +79,19 @@ func TestValidationMessages(t *testing.T) {
 	for _, frag := range []string{"user Lambda", "user Mu", "application type"} {
 		if !strings.Contains(err.Error(), frag) {
 			t.Errorf("error %q lacks %q", err, frag)
+		}
+	}
+	// A negative size builds an empty level, which Validate reports.
+	for _, tc := range []struct {
+		l, m int
+		frag string
+	}{
+		{-1, 3, "application type"},
+		{5, -1, "message type"},
+	} {
+		err := NewSymmetric(1, 1, 1, 1, 1, 1, tc.l, tc.m).Validate()
+		if !errors.Is(err, haperr.ErrBadParameter) || !strings.Contains(err.Error(), tc.frag) {
+			t.Errorf("l=%d m=%d: err = %v, want a bad parameter naming %q", tc.l, tc.m, err, tc.frag)
 		}
 	}
 	if err := Figure5Example().Validate(); err != nil {

@@ -145,9 +145,11 @@ type MMPP2 struct {
 	Q01, Q10 float64
 }
 
-// Validate checks parameters.
+// Validate checks parameters: finite arrival rates R0, R1 >= 0 and
+// finite switching rates Q01, Q10 > 0. NaN fails every check.
 func (m MMPP2) Validate() error {
-	if m.R0 < 0 || m.R1 < 0 || m.Q01 <= 0 || m.Q10 <= 0 {
+	if !(m.R0 >= 0) || !(m.R1 >= 0) || !(m.Q01 > 0) || !(m.Q10 > 0) ||
+		math.IsInf(m.R0, 1) || math.IsInf(m.R1, 1) || math.IsInf(m.Q01, 1) || math.IsInf(m.Q10, 1) {
 		return fmt.Errorf("mmpp: invalid MMPP2 %+v", m)
 	}
 	return nil

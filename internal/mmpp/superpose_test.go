@@ -237,8 +237,21 @@ func TestSuperposeValidation(t *testing.T) {
 	if _, err := SuperposeMMPP2(); err == nil {
 		t.Error("empty MMPP2 superposition accepted")
 	}
-	if _, err := SuperposeMMPP2(MMPP2{R0: -1, R1: 1, Q01: 1, Q10: 1}); err == nil {
-		t.Error("invalid component accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []MMPP2{
+		{R0: -1, R1: 1, Q01: 1, Q10: 1},
+		{R0: nan, R1: 1, Q01: 1, Q10: 1},
+		{R0: 1, R1: nan, Q01: 1, Q10: 1},
+		{R0: 1, R1: 1, Q01: nan, Q10: 1},
+		{R0: 1, R1: 1, Q01: 1, Q10: nan},
+		{R0: inf, R1: 1, Q01: 1, Q10: 1},
+		{R0: 1, R1: inf, Q01: 1, Q10: 1},
+		{R0: 1, R1: 1, Q01: inf, Q10: 1},
+		{R0: 1, R1: 1, Q01: 1, Q10: inf},
+	} {
+		if _, err := SuperposeMMPP2(MMPP2{R0: 1, R1: 2, Q01: 1, Q10: 1}, bad); err == nil {
+			t.Errorf("invalid component %+v accepted", bad)
+		}
 	}
 	// The product-space cap: 21 two-state components need 2^21 > 2^20
 	// states, so Superpose must refuse rather than allocate.

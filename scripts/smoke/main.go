@@ -425,10 +425,11 @@ func netRow(dir string) error {
 }
 
 // cliRow: every binary reports a bad flag value as a usage error (exit
-// status 2, one stderr line, no panic), and a hapsim or experiments run
-// that -timeout cuts short exits 5 (cancelled) and still leaves a CPU and
-// a heap profile that go tool pprof reads. It checks every case and
-// reports each one that fails.
+// status 2, one stderr line, no panic), negative model and tandem sizes
+// and an infinite hapd headroom ceiling among them, and a hapsim or
+// experiments run that -timeout cuts short exits 5 (cancelled) and still
+// leaves a CPU and a heap profile that go tool pprof reads. It checks
+// every case and reports each one that fails.
 func cliRow(dir string) error {
 	short := filepath.Join(dir, "short.csv")
 	if err := os.WriteFile(short, []byte("0.1\n0.2\n0.3\n"), 0o644); err != nil {
@@ -443,6 +444,11 @@ func cliRow(dir string) error {
 		{"hapfit", "-in", short},
 		{"hapd", "-mu3", "1", "-target", "1", "-window", "NaN"},
 		{"experiments", "-experiment", "E1", "-scale", "NaN", "-results", ""},
+		// Negative sizes and a headroom ceiling the search cannot bound.
+		{"hapsolve", "-l", "-1"},
+		{"hapsim", "-m", "-1", "-horizon", "10"},
+		{"hapnet", "-topo", "tandem", "-nodes", "-1"},
+		{"hapd", "-mu3", "1", "-target", "1", "-fmax", "Inf", "-timeout", "2s"},
 	} {
 		errs = append(errs, usageError(filepath.Join(dir, c[0]), c[1:]...))
 	}
