@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 
+	"hap/internal/core"
 	"hap/internal/markov"
 )
 
@@ -107,35 +108,31 @@ func (m *MMPP) AsymptoticIDC(tau float64) (float64, error) {
 
 // InterarrivalMixture returns the rate-weighted exponential mixture that
 // Solution 1 uses as the interarrival law: branch k has rate Rates[k] and
-// weight π(k)·Rates[k]/λ̄ (zero-rate states carry no weight). The second
-// return is λ̄.
-func (m *MMPP) InterarrivalMixture() (weights, rates []float64, meanRate float64, err error) {
-	return m.InterarrivalMixtureCtx(nil)
-}
-
-// InterarrivalMixtureCtx is InterarrivalMixture with cooperative
-// cancellation of the underlying stationary solve.
-func (m *MMPP) InterarrivalMixtureCtx(ctx context.Context) (weights, rates []float64, meanRate float64, err error) {
+// weight π(k)·Rates[k]/λ̄, and zero-rate states carry no weight (their
+// mass is ZeroMass). The stationary solve polls ctx (nil means "never
+// cancelled") and aborts with the context error.
+func (m *MMPP) InterarrivalMixture(ctx context.Context) (*core.Mixture, error) {
 	pi, err := m.StationaryCtx(ctx)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
+	mx := &core.Mixture{}
 	for i, p := range pi {
-		r := m.Rates[i]
-		if r <= 0 || p <= 0 {
-			continue
+		if r := m.Rates[i]; r <= 0 {
+			mx.ZeroMass += p
+		} else if p > 0 {
+			mx.MeanRate += p * r
+			mx.Weights = append(mx.Weights, p*r)
+			mx.Rates = append(mx.Rates, r)
 		}
-		meanRate += p * r
-		weights = append(weights, p*r)
-		rates = append(rates, r)
 	}
-	if meanRate == 0 {
-		return nil, nil, 0, fmt.Errorf("mmpp: process has zero mean rate")
+	if mx.MeanRate == 0 {
+		return nil, fmt.Errorf("mmpp: process has zero mean rate")
 	}
-	for i := range weights {
-		weights[i] /= meanRate
+	for i := range mx.Weights {
+		mx.Weights[i] /= mx.MeanRate
 	}
-	return weights, rates, meanRate, nil
+	return mx, nil
 }
 
 // MMPP2 is the classical 2-state MMPP with arrival rates R0, R1 and

@@ -1,6 +1,7 @@
 package mmpp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -156,10 +157,11 @@ func TestInterarrivalMixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, r, rate, err := proc.InterarrivalMixture()
+	mx, err := proc.InterarrivalMixture(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	w, r, rate := mx.Weights, mx.Rates, mx.MeanRate
 	if len(w) != len(r) || len(w) == 0 {
 		t.Fatal("empty mixture")
 	}
