@@ -201,7 +201,7 @@ func benchR(b *testing.B, method solver.RMethod) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.SolveQBD(proc, mu, method, 1e-12); err != nil {
+		if _, err := solver.SolveQBD(context.Background(), proc, mu, method, 1e-12); err != nil {
 			b.Fatal(err)
 		}
 	}

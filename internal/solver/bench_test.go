@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"testing"
 
 	"hap/internal/core"
@@ -25,7 +26,7 @@ func BenchmarkSolveQBDP0(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if benchQBD, err = SolveQBD(proc, mu, RMethodLogReduction, 0); err != nil {
+		if benchQBD, err = SolveQBD(context.Background(), proc, mu, RMethodLogReduction, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

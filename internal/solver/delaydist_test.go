@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestDelayDistributionMM1Exact(t *testing.T) {
 	lambda, mu := 8.25, 20.0
 	chain := markov.NewChain(1)
 	proc := mmpp.New(chain, []float64{lambda})
-	qb, err := SolveQBD(proc, mu, RMethodLogReduction, 1e-13)
+	qb, err := SolveQBD(context.Background(), proc, mu, RMethodLogReduction, 1e-13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestDelayDistributionMM1Exact(t *testing.T) {
 
 func TestDelayDistributionConsistentWithMeanQueue(t *testing.T) {
 	m2 := mmpp.MMPP2{R0: 2, R1: 18, Q01: 0.05, Q10: 0.15}
-	qb, err := SolveQBD(m2.General(), 30, RMethodLogReduction, 1e-13)
+	qb, err := SolveQBD(context.Background(), m2.General(), 30, RMethodLogReduction, 1e-13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestDelayDistributionMatchesSimulatedQuantiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qb, err := SolveQBD(proc, 50, RMethodLogReduction, 1e-13)
+	qb, err := SolveQBD(context.Background(), proc, 50, RMethodLogReduction, 1e-13)
 	if err != nil {
 		t.Fatal(err)
 	}

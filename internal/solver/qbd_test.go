@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -20,7 +21,7 @@ func smallHAPQBD(t *testing.T, method RMethod) (*QBD, *mmpp.MMPP) {
 		t.Fatal(err)
 	}
 	mu, _ := m.UniformServiceRate()
-	qb, err := SolveQBD(proc, mu, method, 1e-14)
+	qb, err := SolveQBD(context.Background(), proc, mu, method, 1e-14)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,6 +88,21 @@ func TestSolution0CancelPromptly(t *testing.T) {
 	}
 }
 
+// The matrix-geometric solves poll the context too: with one already
+// cancelled they return its error without solving.
+func TestQBDSolvesHonourCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m := core.PaperParams(20)
+	opts := &Options{MaxUsers: 8, MaxApps: 48, Ctx: ctx}
+	if res, err := Solution0MG(m, opts); !errors.Is(err, context.Canceled) {
+		t.Errorf("Solution0MG: %v, err = %v, want context.Canceled", res, err)
+	}
+	if q, err := DelayQuantiles(m, opts, 0.5, 0.99); !errors.Is(err, context.Canceled) {
+		t.Errorf("DelayQuantiles: %v, err = %v, want context.Canceled", q, err)
+	}
+}
+
 // An exhausted sweep budget must degrade to the closed-form Solution 2
 // with the Degraded flag — and must not when the fallback is disabled.
 func TestSolution0FallbackOnExhaustedBudget(t *testing.T) {
