@@ -11,6 +11,7 @@ package admission
 import (
 	"errors"
 	"math"
+	"sort"
 
 	"hap/internal/core"
 	"hap/internal/gm1"
@@ -30,6 +31,8 @@ const (
 	workloadCeiling = 4
 	// bandwidthTol is RequiredBandwidth's stopping width relative to μ”.
 	bandwidthTol = 1e-6
+	// boundsCeiling is BoundsForDelay's largest user cap.
+	boundsCeiling = 400
 )
 
 // MaxWorkload finds the largest user arrival-rate multiplier f ∈ (0, 4]
@@ -148,34 +151,28 @@ func RequiredBandwidth(m *core.Model, targetDelay float64) (mu float64, err erro
 	return hi, nil
 }
 
-// BoundsForDelay searches the smallest symmetric user/application caps
-// (scanning the user cap, with the app cap tied to capUsers·appsPerUser)
-// whose bounded Solution 2 meets the target — Figure 20's admission knob.
-// appsPerUser defaults to the model's mean per-user application load.
+// BoundsForDelay searches the largest symmetric user cap up to 400 (with
+// the app cap tied to capUsers·appsPerUser) whose bounded Solution 2 meets
+// the target — Figure 20's admission knob. appsPerUser defaults to the
+// model's mean per-user application load. A cap whose solve fails (an
+// unstable queue) misses every target.
 func BoundsForDelay(m *core.Model, targetDelay float64, appsPerUser float64) (maxUsers, maxApps int, err error) {
 	if appsPerUser <= 0 {
 		appsPerUser = m.MeanApps() / m.MeanUsers()
 	}
-	for cap := 1; cap <= 400; cap++ {
-		apps := int(float64(cap)*appsPerUser + 0.5)
-		if apps < 1 {
-			apps = 1
-		}
-		res, err := solver.Solution2Bounded(m, cap, apps, nil)
-		if err != nil {
-			continue
-		}
-		if res.Delay > targetDelay {
-			if cap == 1 {
-				return 0, 0, ErrInfeasible
-			}
-			prevApps := int(float64(cap-1)*appsPerUser + 0.5)
-			if prevApps < 1 {
-				prevApps = 1
-			}
-			return cap - 1, prevApps, nil
-		}
+	apps := func(users int) int { return max(1, int(float64(users)*appsPerUser+0.5)) }
+	meets := func(users int) bool {
+		res, err := solver.Solution2Bounded(m, users, apps(users), nil)
+		return err == nil && res.Delay <= targetDelay
 	}
-	// Even unbounded meets the target.
-	return 400, int(400*appsPerUser + 0.5), nil
+	if meets(boundsCeiling) {
+		return boundsCeiling, apps(boundsCeiling), nil
+	}
+	// The bounded delay rises with the cap, so caps 1..n meet the target
+	// and the rest miss it.
+	n := sort.Search(boundsCeiling-1, func(i int) bool { return !meets(i + 1) })
+	if n == 0 {
+		return 0, 0, ErrInfeasible
+	}
+	return n, apps(n), nil
 }

@@ -99,6 +99,39 @@ func TestBoundsForDelay(t *testing.T) {
 	if err != nil || u2 != 400 {
 		t.Errorf("generous target should be uncapped: %d, %v", u2, err)
 	}
+	// The caps a scan over every user cap finds.
+	for _, c := range []struct {
+		mu, target  float64
+		users, apps int
+	}{
+		{5, 1, 3, 15},
+		{8, 1, 7, 35},
+		{8, 10, 9, 45},
+		{8.5, 1, 8, 40},
+		{8.5, 10, 400, 2000},
+	} {
+		u, a, err := BoundsForDelay(core.PaperParams(c.mu), c.target, 0)
+		if err != nil || u != c.users || a != c.apps {
+			t.Errorf("μ''=%g, target %g: caps %d/%d (%v), want %d/%d", c.mu, c.target, u, a, err, c.users, c.apps)
+		}
+	}
+	// Uncapped, these queues are unstable (ρ 1.65 and 1.03): a cap whose
+	// queue is unstable misses the target, so the caps found must be
+	// stable and meet it, or there are none.
+	for _, c := range []struct{ mu, target float64 }{{5, 10}, {8, 1000}} {
+		m := core.PaperParams(c.mu)
+		u, a, err := BoundsForDelay(m, c.target, 0)
+		if errors.Is(err, ErrInfeasible) {
+			continue
+		}
+		if err != nil {
+			t.Errorf("μ''=%g, target %g: %v", c.mu, c.target, err)
+			continue
+		}
+		if res, err := solver.Solution2Bounded(m, u, a, nil); err != nil || res.Delay > c.target {
+			t.Errorf("μ''=%g, target %g: caps %d/%d give delay %v (%v)", c.mu, c.target, u, a, res.Delay, err)
+		}
+	}
 }
 
 func TestRegionAndTable(t *testing.T) {
