@@ -83,6 +83,8 @@ net-smoke:
 # line, no panic), negative model and tandem sizes and an infinite hapd
 # -fmax included, and hapsim and experiments runs that -timeout cuts
 # short exit 5 and leave CPU and heap profiles that go tool pprof reads.
+# hapsolve solves Solution 0 on an asymmetric -config model (exit 0), and
+# -timeout cuts its matrix-geometric solve short (exit 5, one line).
 cli-smoke:
 	$(GO) run ./scripts/smoke cli
 

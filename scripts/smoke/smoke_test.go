@@ -166,7 +166,7 @@ func TestCheckTandem(t *testing.T) {
 }
 
 func TestUsageError(t *testing.T) {
-	sh := func(script string) error { return usageError("/bin/sh", "-c", script) }
+	sh := func(script string) error { return exitsWith(2, "/bin/sh", "-c", script) }
 	if err := sh("echo 'bad rate' >&2; exit 2"); err != nil {
 		t.Error(err)
 	}
