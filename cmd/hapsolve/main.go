@@ -1,5 +1,6 @@
 // Command hapsolve computes the analytic HAP/M/1 solutions for a
-// symmetric parameter set.
+// symmetric parameter set given by flags, or for any model, asymmetric
+// ones included, read from a -config JSON file.
 //
 //	go run ./cmd/hapsolve -lambda 0.0055 -mu 0.001 -lambda2 0.01 -mu2 0.01 \
 //	    -lambda3 0.1 -mu3 20 -l 5 -m 3 -solutions 1,2,exact,poisson
