@@ -174,11 +174,6 @@ func TestRegionAndTable(t *testing.T) {
 	if tab.String() == "" {
 		t.Error("empty table rendering")
 	}
-	// Effective bandwidths: rᵢ/λmax.
-	eb := r.EffectiveBandwidth()
-	if math.Abs(eb[0]-0.05) > 1e-12 || math.Abs(eb[1]-0.2) > 1e-12 {
-		t.Errorf("effective bandwidths = %v", eb)
-	}
 }
 
 func TestRegionValidation(t *testing.T) {

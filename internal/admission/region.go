@@ -151,17 +151,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// EffectiveBandwidth returns the per-call bandwidth share each class
-// consumes at the boundary, rᵢ/λmax — the linear weights an interface
-// would store.
-func (r *Region) EffectiveBandwidth() []float64 {
-	out := make([]float64, len(r.Classes))
-	for i, c := range r.Classes {
-		out[i] = c.MsgRate / r.LambdaMax()
-	}
-	return out
-}
-
 // HAPHeadroom compares the Poisson-based λmax with a HAP-corrected one: at
 // the same target delay a HAP stream is admitted only up to the rate where
 // the G/M/1 delay meets the target, searched by MaxScale up to the

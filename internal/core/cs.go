@@ -33,18 +33,6 @@ type CSMessageType struct {
 // exchange continues for another round after a request.
 func (c CSMessageType) ContinuationProbability() float64 { return c.PResp * c.PNext }
 
-// RequestsPerExchange returns the expected number of requests in one
-// exchange, 1/(1-q).
-func (c CSMessageType) RequestsPerExchange() float64 {
-	return 1 / (1 - c.ContinuationProbability())
-}
-
-// ResponsesPerExchange returns the expected number of responses in one
-// exchange, PResp/(1-q).
-func (c CSMessageType) ResponsesPerExchange() float64 {
-	return c.PResp / (1 - c.ContinuationProbability())
-}
-
 // MessagesPerExchange returns the expected total messages per exchange,
 // (1+PResp)/(1-q).
 func (c CSMessageType) MessagesPerExchange() float64 {
@@ -153,44 +141,4 @@ func (m *CSModel) MeanSpontaneousRate() float64 {
 		s += (a.Lambda / a.Mu) * a.SpontaneousRate()
 	}
 	return m.Nu() * s
-}
-
-// OfferedLoad returns the mean service-time demand per unit time at the
-// queue: Σ rates × mean service times of requests and responses.
-func (m *CSModel) OfferedLoad() float64 {
-	var load float64
-	for _, a := range m.Apps {
-		act := m.Nu() * a.Lambda / a.Mu // mean active instances of this type
-		for _, msg := range a.Messages {
-			exch := msg.Lambda * act
-			load += exch * msg.RequestsPerExchange() / msg.MuReq
-			load += exch * msg.ResponsesPerExchange() / msg.MuResp
-		}
-	}
-	return load
-}
-
-// Plain projects the CS model onto a plain HAP whose message rates are the
-// effective (request + response) rates and whose service rates are the
-// exchange-weighted harmonic means — the natural first-order reduction for
-// applying the plain-HAP solvers.
-func (m *CSModel) Plain() *Model {
-	out := &Model{Name: m.Name + "-plain", Lambda: m.Lambda, Mu: m.Mu}
-	for _, a := range m.Apps {
-		na := AppType{Name: a.Name, Lambda: a.Lambda, Mu: a.Mu}
-		for _, msg := range a.Messages {
-			rate := msg.Lambda * msg.MessagesPerExchange()
-			// Mean service time across the request/response mix.
-			req := msg.RequestsPerExchange()
-			resp := msg.ResponsesPerExchange()
-			meanSvc := (req/msg.MuReq + resp/msg.MuResp) / (req + resp)
-			na.Messages = append(na.Messages, MessageType{
-				Name:   msg.Name,
-				Lambda: rate,
-				Mu:     1 / meanSvc,
-			})
-		}
-		out.Apps = append(out.Apps, na)
-	}
-	return out
 }

@@ -39,31 +39,6 @@ func (m *Model) MeanRate() float64 {
 	return m.Nu() * s
 }
 
-// MeanRateSymmetric returns Equation 5's specialisation
-// λ̄ = (λ/μ)(λ'/μ') · leaves · λ” and panics if the model is not
-// symmetric. Merging or splitting branches that keeps the leaf count
-// keeps this rate (Figure 8).
-func (m *Model) MeanRateSymmetric() float64 {
-	ok, la, ma, lm, _ := m.Symmetric()
-	if !ok {
-		panic("core: MeanRateSymmetric on a non-symmetric model")
-	}
-	return m.Nu() * (la / ma) * float64(m.NumLeaves()) * lm
-}
-
-// MeanMessageRatePerApp returns the arrival-rate share of application type
-// i in the total: aᵢΛᵢ / Σₖ aₖΛₖ.
-func (m *Model) MeanMessageRatePerApp(i int) float64 {
-	var tot float64
-	for k, a := range m.Apps {
-		tot += m.AppLoad(k) * a.TotalMessageRate()
-	}
-	if tot == 0 {
-		return 0
-	}
-	return m.AppLoad(i) * m.Apps[i].TotalMessageRate() / tot
-}
-
 // Utilization returns ρ = λ̄/μ” for the uniform service rate μ”; it
 // panics when service rates differ across message types.
 func (m *Model) Utilization() float64 {

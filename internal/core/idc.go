@@ -61,22 +61,6 @@ func (m *Model) NewIDC() (*IDC, error) {
 	}, nil
 }
 
-// CovRate returns the rate-process autocovariance Cov_R(u).
-func (idc *IDC) CovRate(u float64) float64 {
-	return idc.c1*math.Exp(-idc.a1*u) + idc.c2*math.Exp(-idc.a2*u)
-}
-
-// Components exposes the two-exponential covariance decomposition
-// Cov_R(u) = c1·e^{−a1·u} + c2·e^{−a2·u} together with λ̄. The estimation
-// layer (internal/fit) inverts exactly these coefficients to recover model
-// parameters from an observed IDC curve.
-func (idc *IDC) Components() (lamBar, c1, a1, c2, a2 float64) {
-	return idc.lamBar, idc.c1, idc.a1, idc.c2, idc.a2
-}
-
-// RateVariance returns Var(R) = Cov_R(0).
-func (idc *IDC) RateVariance() float64 { return idc.c1 + idc.c2 }
-
 // At evaluates IDC(t) using ∫₀ᵗ(t−u)e^{−au}du = t/a − (1−e^{−at})/a².
 func (idc *IDC) At(t float64) float64 {
 	if t <= 0 {
@@ -105,27 +89,4 @@ func IDCKernel(a, t float64) float64 {
 // mechanism behind the mountains.
 func (idc *IDC) Limit() float64 {
 	return 1 + 2*(idc.c1/idc.a1+idc.c2/idc.a2)/idc.lamBar
-}
-
-// HalfTime returns the window length at which IDC(t) reaches half way
-// between 1 and its limit — the characteristic burst time scale — found
-// by bisection.
-func (idc *IDC) HalfTime() float64 {
-	target := (1 + idc.Limit()) / 2
-	lo, hi := 1e-9, 10/idc.a2
-	for idc.At(hi) < target {
-		hi *= 2
-		if hi > 1e12 {
-			return hi
-		}
-	}
-	for i := 0; i < 100 && hi/lo > 1+1e-9; i++ {
-		mid := math.Sqrt(lo * hi)
-		if idc.At(mid) < target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return math.Sqrt(lo * hi)
 }

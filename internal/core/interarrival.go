@@ -85,9 +85,6 @@ func (ia *Interarrival) CCDF(t float64) float64 {
 	return ia.M(t) * l * math.Exp(ia.nu*(l-1)) / ia.m0
 }
 
-// CDF returns A(t) = 1 − Ā(t). A(0) = 0 and A(∞) = 1 as the paper checks.
-func (ia *Interarrival) CDF(t float64) float64 { return 1 - ia.CCDF(t) }
-
 // PDF returns the interarrival density a(t) (Equation 10).
 func (ia *Interarrival) PDF(t float64) float64 {
 	if t < 0 {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"hap/internal/dist"
 	"hap/internal/quad"
 )
 
@@ -46,10 +47,11 @@ func TestInterarrivalPDFIsMinusCCDFDerivative(t *testing.T) {
 }
 
 func TestInterarrivalCDFLimits(t *testing.T) {
-	// The paper's sanity check: A(t) → 1 as t → ∞ and A(0) = 0.
+	// The paper's sanity check: A(t) → 1 as t → ∞ and A(0) = 0, that is
+	// Ā(0) = 1 and Ā(∞) = 0.
 	ia := PaperParams(20).Interarrival()
-	wantClose(t, "A(0)", ia.CDF(0), 0, 1e-12)
-	wantClose(t, "A(inf)", ia.CDF(1e6), 1, 1e-9)
+	wantClose(t, "Ā(0)", ia.CCDF(0), 1, 1e-12)
+	wantClose(t, "Ā(inf)", ia.CCDF(1e6), 0, 1e-9)
 	if ia.CCDF(-1) != 1 || ia.PDF(-1) != 0 {
 		t.Error("negative t handling wrong")
 	}
@@ -119,17 +121,19 @@ func TestInterarrivalTailLongerThanPoisson(t *testing.T) {
 }
 
 func TestUnboundedMixtureMatchesClosedForm(t *testing.T) {
-	// The discrete state mixture with wide bounds is an independent
+	// The discrete state mixture with caps twelve standard deviations
+	// into the tails (43 users against a mean of 5.5, 400 applications
+	// against the 215 that 43 users hold on average) is an independent
 	// derivation of the same law; the two must agree.
 	m := PaperParams(20)
 	ia := m.Interarrival()
-	mix, err := m.UnboundedMixture()
+	mix, err := m.BoundedMixture(43, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantClose(t, "mean rate", mix.MeanRate, ia.MeanRate(), 1e-6)
 	wantClose(t, "zero mass", mix.ZeroMass, ia.ZeroRateMass(), 1e-6)
-	h := mix.Hyper()
+	h := hyper(mix)
 	for _, x := range []float64{0.01, 0.1, 0.3, 1} {
 		wantClose(t, "ccdf", 1-h.CDF(x), ia.CCDF(x), 1e-4)
 	}
@@ -160,8 +164,13 @@ func TestBoundedMixtureReducesBurstiness(t *testing.T) {
 	}
 }
 
+// hyper is the mixture as a distribution with moments and a CDF.
+func hyper(mx *Mixture) *dist.HyperExponential {
+	return dist.NewHyperExponential(mx.Weights, mx.Rates)
+}
+
 func scvOf(mx *Mixture) float64 {
-	h := mx.Hyper()
+	h := hyper(mx)
 	m := h.Mean()
 	return h.SecondMoment()/(m*m) - 1
 }

@@ -9,18 +9,8 @@ import (
 	"hap/internal/haperr"
 )
 
-// This file provides JSON (de)serialisation for models so the command-line
-// tools can work with arbitrary asymmetric HAPs, not just the symmetric
-// flag sets.
-
-// MarshalJSONFile writes the model as indented JSON.
-func (m *Model) MarshalJSONFile(path string) error {
-	b, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("core: marshal model: %w", err)
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
+// This file reads models from JSON so the command-line tools can work with
+// arbitrary asymmetric HAPs, not just the symmetric flag sets.
 
 // LoadModel reads a model from a JSON file and validates it.
 func LoadModel(path string) (*Model, error) {

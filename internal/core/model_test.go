@@ -29,7 +29,9 @@ func TestPaperMeanRateIs825(t *testing.T) {
 	}
 	// Equation 4: λ̄ = (0.0055/0.001)(0.01/0.01)·0.1·5·3 = 8.25.
 	wantClose(t, "mean rate", m.MeanRate(), 8.25, 1e-12)
-	wantClose(t, "symmetric rate", m.MeanRateSymmetric(), 8.25, 1e-12)
+	// Equation 5, its symmetric form: ν·(λ'/μ')·leaves·λ''.
+	_, la, ma, lm, _ := m.Symmetric()
+	wantClose(t, "symmetric rate", m.Nu()*(la/ma)*float64(m.NumLeaves())*lm, 8.25, 1e-12)
 	wantClose(t, "mean users", m.MeanUsers(), 5.5, 1e-12)
 	wantClose(t, "mean apps", m.MeanApps(), 27.5, 1e-12)
 	wantClose(t, "utilization", m.Utilization(), 8.25/20, 1e-12)
@@ -48,15 +50,6 @@ func TestSymmetricDetection(t *testing.T) {
 	if ok, _, _, _, _ := Figure5Example().Symmetric(); ok {
 		t.Error("figure5 must not be symmetric")
 	}
-}
-
-func TestMeanRateSymmetricPanicsOnAsymmetric(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Figure5Example().MeanRateSymmetric()
 }
 
 func TestUniformServiceRate(t *testing.T) {
@@ -189,14 +182,4 @@ func TestStringRendersRate(t *testing.T) {
 	if !strings.Contains((&Model{Apps: []AppType{{Lambda: 1, Mu: 1, Messages: []MessageType{{Lambda: 1, Mu: 1}}}}, Lambda: 1, Mu: 1}).String(), "HAP") {
 		t.Error("unnamed model should print HAP")
 	}
-}
-
-func TestMeanMessageRatePerApp(t *testing.T) {
-	m := PaperParams(20)
-	var sum float64
-	for i := range m.Apps {
-		sum += m.MeanMessageRatePerApp(i)
-	}
-	wantClose(t, "shares sum", sum, 1, 1e-12)
-	wantClose(t, "each share", m.MeanMessageRatePerApp(0), 0.2, 1e-12)
 }

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
 
-	"hap/internal/dist"
 	"hap/internal/markov"
 )
 
@@ -29,11 +27,6 @@ type Mixture struct {
 	// ZeroMass is the unweighted stationary probability of zero-rate
 	// states (they cannot host an arrival, so they carry no weight).
 	ZeroMass float64
-}
-
-// Hyper converts the mixture into a sampleable/analysable distribution.
-func (mx *Mixture) Hyper() *dist.HyperExponential {
-	return dist.NewHyperExponential(mx.Weights, mx.Rates)
 }
 
 // Laplace returns A*(s) of the mixture in closed form.
@@ -101,31 +94,4 @@ func (m *Model) BoundedMixture(maxUsers, maxApps int) (*Mixture, error) {
 	mx.MeanRate = meanRate
 	mx.ZeroMass = zero
 	return mx, nil
-}
-
-// UnboundedMixture returns BoundedMixture with caps wide enough (mean +
-// 12σ) that the truncation error is negligible; it is the discrete
-// equivalent of the Solution-2 closed form and is used to cross-validate
-// it.
-func (m *Model) UnboundedMixture() (*Mixture, error) {
-	ok, lambdaApp, muApp, _, _ := m.Symmetric()
-	if !ok {
-		return nil, fmt.Errorf("core: UnboundedMixture requires a symmetric model")
-	}
-	nu := m.Nu()
-	xmax := wideBound(nu)
-	yMean := nu * float64(len(m.Apps)) * lambdaApp / muApp
-	// y given the largest plausible x can be much larger than its mean.
-	yTop := float64(xmax) * float64(len(m.Apps)) * lambdaApp / muApp
-	ymax := wideBound(yTop)
-	_ = yMean
-	return m.BoundedMixture(xmax, ymax)
-}
-
-func wideBound(mean float64) int {
-	b := int(mean + 12*math.Sqrt(mean) + 10)
-	if b < 8 {
-		b = 8
-	}
-	return b
 }

@@ -47,9 +47,6 @@ func (t *TwoLevel) Nu() float64 { return t.Lambda / t.Mu }
 // MeanRate returns λ̄ = ν·γ.
 func (t *TwoLevel) MeanRate() float64 { return t.Nu() * t.MsgLambda }
 
-// Utilization returns λ̄/MsgMu.
-func (t *TwoLevel) Utilization() float64 { return t.MeanRate() / t.MsgMu }
-
 // CCDF returns the rate-weighted interarrival complementary CDF
 // Ā(t) = s·e^{ν(s−1)} with s = e^{-γt} — the x-conditioned specialisation
 // of the 3-level closed form.
@@ -71,9 +68,6 @@ func (t *TwoLevel) PDF(tt float64) float64 {
 	return t.MsgLambda * s * (1 + nu*s) * math.Exp(nu*(s-1))
 }
 
-// PDFAtZero returns a(0) = γ(1+ν).
-func (t *TwoLevel) PDFAtZero() float64 { return t.MsgLambda * (1 + t.Nu()) }
-
 // ZeroRateMass returns e^{-ν}, the stationary probability of zero active
 // calls.
 func (t *TwoLevel) ZeroRateMass() float64 { return math.Exp(-t.Nu()) }
@@ -94,17 +88,6 @@ func (t *TwoLevel) SecondMoment() float64 {
 func (t *TwoLevel) SCV() float64 {
 	m := t.Mean()
 	return t.SecondMoment()/(m*m) - 1
-}
-
-// Laplace returns A*(s) = 1 − s∫Ā(t)e^{-st}dt.
-func (t *TwoLevel) Laplace(s float64) float64 {
-	if s == 0 {
-		return 1
-	}
-	integral := quad.ToInf(func(x float64) float64 {
-		return t.CCDF(x) * math.Exp(-s*x)
-	}, 0, math.Min(1/(t.MsgLambda+s), t.Mean()), 1e-13)
-	return 1 - s*integral
 }
 
 // Model returns the 3-level HAP whose application level carries this

@@ -34,9 +34,6 @@ func NewCategorical(weights []float64) (*Categorical, error) {
 	return &Categorical{cum: cum}, nil
 }
 
-// N returns the number of categories.
-func (c *Categorical) N() int { return len(c.cum) }
-
 // Sample draws one category index using a single uniform variate from r.
 // The scan is linear; routing fan-outs are small (2–4 links), where a
 // branchy alias table would cost more than it saves.
@@ -48,13 +45,4 @@ func (c *Categorical) Sample(r *rand.Rand) int {
 		}
 	}
 	return len(c.cum) - 1 // u == total (possible at the closed right edge)
-}
-
-// Prob returns the normalized probability of category i.
-func (c *Categorical) Prob(i int) float64 {
-	lo := 0.0
-	if i > 0 {
-		lo = c.cum[i-1]
-	}
-	return (c.cum[i] - lo) / c.cum[len(c.cum)-1]
 }

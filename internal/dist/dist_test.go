@@ -88,7 +88,7 @@ func TestErlangK1MatchesExponential(t *testing.T) {
 
 func TestErlangCDFMatchesPDFIntegral(t *testing.T) {
 	e := NewErlang(3, 2)
-	// Trapezoid integral of the PDF up to x should match the CDF.
+	// A trapezoid-rule integral of the PDF up to x should match the CDF.
 	const n = 20000
 	x := 2.0
 	h := x / n

@@ -143,11 +143,4 @@ func TestStreamsIndependentAndReproducible(t *testing.T) {
 	if va != vc {
 		t.Error("same-seed streams are not reproducible")
 	}
-	// Nth is independent of Next history.
-	x := NewStreams(7).Nth(3).Float64()
-	s3 := NewStreams(7)
-	s3.Next()
-	if got := s3.Nth(3).Float64(); got != x {
-		t.Error("Nth stream depends on Next() history")
-	}
 }

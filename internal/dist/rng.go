@@ -34,16 +34,10 @@ func (s *Streams) Next() *rand.Rand {
 	return rand.New(rand.NewSource(int64(splitmix64(s.seed + s.next*0x9e3779b97f4a7c15))))
 }
 
-// Nth returns the stream with index n (deterministic, independent of calls
-// to Next). Use it to give replication n its own reproducible randomness.
-func (s *Streams) Nth(n int) *rand.Rand {
-	return rand.New(rand.NewSource(SubSeed(int64(s.seed), n)))
-}
-
 // SubSeed derives the nth well-separated replication seed from a base seed.
-// It is the seed-level counterpart of Streams.Nth: SubSeed(base, n) depends
-// only on (base, n), so parallel replications seeded this way reproduce the
-// serial run bit for bit in any execution order.
+// SubSeed(base, n) depends only on (base, n), so parallel replications
+// seeded this way reproduce the serial run bit for bit in any execution
+// order.
 func SubSeed(base int64, n int) int64 {
 	return int64(splitmix64(uint64(base) ^ uint64(n)*0xd1342543de82ef95))
 }

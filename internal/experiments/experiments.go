@@ -194,9 +194,3 @@ func RunAll(ctx *Context) ([]*Result, error) {
 }
 
 func fnum(v float64) string { return fmt.Sprintf("%.4g", v) }
-
-func timed(run func() error) (time.Duration, error) {
-	start := time.Now()
-	err := run()
-	return time.Since(start), err
-}

@@ -166,7 +166,12 @@ func TestResultsCSVWritten(t *testing.T) {
 	if _, err := e.Run(&Context{Scale: 0.1, Out: io.Discard, Seed: 1, ResultsDir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	cols, err := trace.ReadCSV(dir + "/fig09_interarrival.csv")
+	f, err := os.Open(dir + "/fig09_interarrival.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cols, err := trace.ReadCSVFrom(f)
 	if err != nil {
 		t.Fatal(err)
 	}

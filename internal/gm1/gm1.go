@@ -4,8 +4,9 @@
 //
 //	σ = A*(μ − μσ),  0 < σ < 1
 //
-// determines everything: mean delay T = 1/(μ(1−σ)), waiting-time CDF
-// W(y) = 1 − σe^{−μ(1−σ)y}, and mean queue length λ̄T by Little.
+// determines the mean delay T = 1/(μ(1−σ)), the mean wait σ/(μ(1−σ)) and
+// the mean queue length λ̄T by Little. (The wait is 0 with probability
+// 1−σ and otherwise Exp(μ(1−σ)); Result carries only the means.)
 //
 // Two σ solvers are provided: the paper's averaging iteration
 // ("σ-Algorithm": replace σ with the average of A*(μ−μσ) and σ until they
@@ -86,26 +87,6 @@ func (r Result) Diag() haperr.Diag {
 		Converged:  r.Converged,
 		Bracket:    r.Bracket,
 	}
-}
-
-// WaitingCDF returns P(wait <= y) = 1 − σe^{−μ(1−σ)y}.
-func (r Result) WaitingCDF(y float64) float64 {
-	if y < 0 {
-		return 0
-	}
-	return 1 - r.Sigma*math.Exp(-r.Mu*(1-r.Sigma)*y)
-}
-
-// WaitingQuantile returns the p-quantile of the waiting time (0 when the
-// p-mass is covered by the zero-wait atom 1−σ).
-func (r Result) WaitingQuantile(p float64) float64 {
-	if p <= 1-r.Sigma {
-		return 0
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	return -math.Log((1-p)/r.Sigma) / (r.Mu * (1 - r.Sigma))
 }
 
 // ErrUnstable reports λ̄ >= μ. It aliases haperr.ErrUnstable so either
@@ -200,7 +181,7 @@ func solve(a Laplace, lambda, mu float64, opts *Options) (Result, error) {
 	var err error
 	switch o.Method {
 	case MethodPaper:
-		sigma, res.Iterations, err = quad.FixedPointCtx(o.Ctx, g, 0.5, 0.5, o.Tol, o.MaxIter)
+		sigma, res.Iterations, err = quad.FixedPoint(o.Ctx, g, 0.5, 0.5, o.Tol, o.MaxIter)
 		if err != nil {
 			res.Sigma = sigma
 			res.Residual = math.Abs(g(sigma) - sigma)

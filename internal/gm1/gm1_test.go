@@ -70,40 +70,6 @@ func TestPaperAndBisectAgree(t *testing.T) {
 	wantClose(t, "sigma agreement", a.Sigma, b.Sigma, 1e-6)
 }
 
-func TestWaitingCDF(t *testing.T) {
-	lambda, mu := 4.0, 10.0
-	e := dist.NewExponential(lambda)
-	res, err := Solve(e.Laplace, lambda, mu, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// W(0) = 1 − σ (zero-wait atom), W(∞) = 1, monotone.
-	wantClose(t, "W(0)", res.WaitingCDF(0), 1-res.Sigma, 1e-9)
-	wantClose(t, "W(inf)", res.WaitingCDF(1e9), 1, 1e-12)
-	if res.WaitingCDF(-1) != 0 {
-		t.Error("negative wait must have zero probability")
-	}
-	prev := 0.0
-	for _, y := range []float64{0, 0.05, 0.2, 1, 5} {
-		v := res.WaitingCDF(y)
-		if v < prev {
-			t.Errorf("W not monotone at %v", y)
-		}
-		prev = v
-	}
-	// Quantile inverts the CDF beyond the atom.
-	for _, p := range []float64{0.8, 0.95, 0.99} {
-		y := res.WaitingQuantile(p)
-		wantClose(t, "W(Q(p))", res.WaitingCDF(y), p, 1e-9)
-	}
-	if res.WaitingQuantile(0.1) != 0 {
-		t.Error("quantile below the atom must be 0")
-	}
-	if !math.IsInf(res.WaitingQuantile(1), 1) {
-		t.Error("p=1 quantile must be +Inf")
-	}
-}
-
 func TestMeanWaitConsistentWithCDF(t *testing.T) {
 	lambda, mu := 6.0, 10.0
 	e := dist.NewExponential(lambda)

@@ -143,16 +143,6 @@ func TestLUSingular(t *testing.T) {
 	}
 }
 
-func TestLUDet(t *testing.T) {
-	a := NewDense(2, 2)
-	copy(a.A, []float64{3, 1, 4, 2}) // det = 2
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantClose(t, "det", f.Det(), 2, 1e-12)
-}
-
 func TestVecMatAndMatVec(t *testing.T) {
 	a := NewDense(2, 3)
 	copy(a.A, []float64{1, 2, 3, 4, 5, 6})

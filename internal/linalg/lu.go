@@ -10,9 +10,8 @@ var ErrSingular = errors.New("linalg: matrix is singular")
 
 // LU holds an LU factorisation with partial pivoting: P·A = L·U.
 type LU struct {
-	lu   *Dense
-	piv  []int
-	sign int
+	lu  *Dense
+	piv []int
 }
 
 // Factor computes the LU factorisation of the square matrix a (which is
@@ -31,7 +30,6 @@ func Factor(a *Dense) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for c0 := 0; c0 < n; c0 += 4 {
 		c1 := min(c0+4, n) // the panel is columns [c0, c1)
 		for col := c0; col < c1; col++ {
@@ -52,7 +50,6 @@ func Factor(a *Dense) (*LU, error) {
 					rp[j], rc[j] = rc[j], rp[j]
 				}
 				piv[p], piv[col] = piv[col], piv[p]
-				sign = -sign
 			}
 			// Multipliers, applied to the rest of the panel only.
 			d := A[col*n+col]
@@ -73,7 +70,7 @@ func Factor(a *Dense) (*LU, error) {
 			addRows(A[r*n+c1:(r+1)*n], -1, A[r*n+c0:r*n+min(r, c1)], panel, n, c1)
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // SolveVec solves A·x = b, returning x.
@@ -173,13 +170,4 @@ func (f *LU) SolveVecLeft(b []float64) []float64 { return f.solveVecT(b) }
 // Inverse returns A⁻¹.
 func (f *LU) Inverse() *Dense {
 	return f.Solve(Eye(f.lu.R))
-}
-
-// Det returns the determinant.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.R; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }

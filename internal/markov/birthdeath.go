@@ -2,79 +2,6 @@ package markov
 
 import "math"
 
-// BirthDeath computes the stationary distribution of a birth–death chain on
-// states 0..n-1 with birth rates birth(i) (i→i+1) and death rates death(i)
-// (i→i-1), via the product-form solution. It underlies the closed-form
-// validators below and the truncated-population variants of Solution 2.
-func BirthDeath(n int, birth, death func(i int) float64) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	pi := make([]float64, n)
-	// Work in log space to survive large state spaces.
-	logw := 0.0
-	maxLog := 0.0
-	logs := make([]float64, n)
-	for i := 1; i < n; i++ {
-		b, d := birth(i-1), death(i)
-		if b <= 0 || d <= 0 {
-			// Unreachable tail: truncate.
-			logs = logs[:i]
-			pi = pi[:i]
-			break
-		}
-		logw += math.Log(b) - math.Log(d)
-		logs[i] = logw
-		if logw > maxLog {
-			maxLog = logw
-		}
-	}
-	var sum float64
-	for i := range logs {
-		pi[i] = math.Exp(logs[i] - maxLog)
-		sum += pi[i]
-	}
-	for i := range pi {
-		pi[i] /= sum
-	}
-	return pi
-}
-
-// MM1Distribution returns the first n probabilities of the M/M/1 queue
-// length (geometric with ratio ρ = λ/μ < 1).
-func MM1Distribution(lambda, mu float64, n int) []float64 {
-	rho := lambda / mu
-	pi := make([]float64, n)
-	p := 1 - rho
-	for i := range pi {
-		pi[i] = p
-		p *= rho
-	}
-	return pi
-}
-
-// MM1Delay returns the mean sojourn time (waiting + service) of an M/M/1
-// queue: 1/(μ-λ). This is the paper's Poisson baseline.
-func MM1Delay(lambda, mu float64) float64 { return 1 / (mu - lambda) }
-
-// MM1QueueLength returns the mean number in system ρ/(1-ρ).
-func MM1QueueLength(lambda, mu float64) float64 {
-	rho := lambda / mu
-	return rho / (1 - rho)
-}
-
-// MMInfDistribution returns the first n probabilities of the M/M/∞
-// occupancy: Poisson(λ/μ). HAP's user and application populations are
-// M/M/∞ in Solution 2's conditioning.
-func MMInfDistribution(lambda, mu float64, n int) []float64 {
-	m := lambda / mu
-	pi := make([]float64, n)
-	for k := range pi {
-		pi[k] = math.Exp(float64(k)*math.Log(m) - m - lgamma(k+1))
-	}
-	return pi
-}
-
 // TruncatedPoisson returns the Poisson(m) distribution truncated to
 // {0..kmax} and renormalised — the stationary law of an M/M/∞ population
 // admission-capped at kmax (Erlang-loss insensitivity).
@@ -109,16 +36,6 @@ func MM1KDistribution(lambda, mu float64, K int) []float64 {
 		p *= rho
 	}
 	return pi
-}
-
-// ErlangB returns the Erlang-B blocking probability for offered load a
-// erlangs on c servers, computed with the stable recurrence.
-func ErlangB(a float64, c int) float64 {
-	b := 1.0
-	for k := 1; k <= c; k++ {
-		b = a * b / (float64(k) + a*b)
-	}
-	return b
 }
 
 func lgamma(k int) float64 {

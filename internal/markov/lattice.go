@@ -76,36 +76,3 @@ func (l *Lattice) Shift(idx, d, delta int) (int, bool) {
 	}
 	return idx + delta*l.strides[d], true
 }
-
-// ShellOrder returns all indices sorted by coordinate sum (the k-shells the
-// paper sweeps in Solution 0), with ties broken by index order.
-func (l *Lattice) ShellOrder() []int {
-	order := make([]int, l.n)
-	sums := make([]int, l.n)
-	coords := make([]int, len(l.Dims))
-	for i := 0; i < l.n; i++ {
-		order[i] = i
-		l.Coords(i, coords)
-		s := 0
-		for _, c := range coords {
-			s += c
-		}
-		sums[i] = s
-	}
-	// Counting sort by shell (sums are small).
-	maxS := 0
-	for _, s := range sums {
-		if s > maxS {
-			maxS = s
-		}
-	}
-	buckets := make([][]int, maxS+1)
-	for i, s := range sums {
-		buckets[s] = append(buckets[s], i)
-	}
-	out := order[:0]
-	for _, b := range buckets {
-		out = append(out, b...)
-	}
-	return out
-}

@@ -148,37 +148,6 @@ func TestChainValidation(t *testing.T) {
 	}
 }
 
-func TestBirthDeathMatchesMM1K(t *testing.T) {
-	lambda, mu, K := 4.0, 5.0, 20
-	got := BirthDeath(K+1, func(int) float64 { return lambda }, func(int) float64 { return mu })
-	want := MM1KDistribution(lambda, mu, K)
-	for i := range want {
-		wantClose(t, "bd", got[i], want[i], 1e-12)
-	}
-}
-
-func TestBirthDeathMatchesMMInf(t *testing.T) {
-	lambda, mu := 5.5, 1.0
-	n := 60
-	got := BirthDeath(n, func(int) float64 { return lambda },
-		func(i int) float64 { return float64(i) * mu })
-	want := MMInfDistribution(lambda, mu, n)
-	for i := 0; i < 40; i++ {
-		wantClose(t, "bd-mminf", got[i], want[i], 1e-9)
-	}
-}
-
-func TestMM1Closed(t *testing.T) {
-	wantClose(t, "delay", MM1Delay(8.25, 20), 1/11.75, 1e-12)
-	wantClose(t, "N", MM1QueueLength(8.25, 20), 0.4125/0.5875, 1e-12)
-	pi := MM1Distribution(0.5, 1, 50)
-	var sum float64
-	for _, p := range pi {
-		sum += p
-	}
-	wantClose(t, "mass", sum, 1-math.Pow(0.5, 50), 1e-12)
-}
-
 func TestMM1RhoOneUniform(t *testing.T) {
 	pi := MM1KDistribution(2, 2, 4)
 	for _, p := range pi {
@@ -204,12 +173,6 @@ func TestTruncatedPoisson(t *testing.T) {
 	if tm >= 4.5 {
 		t.Errorf("truncated mean = %v, want < 4.5", tm)
 	}
-}
-
-func TestErlangB(t *testing.T) {
-	// Classic value: a=10 erlangs, c=10 servers → B ≈ 0.2146.
-	wantClose(t, "B(10,10)", ErlangB(10, 10), 0.2146, 5e-4)
-	wantClose(t, "B(a,0)", ErlangB(3, 0), 1, 0)
 }
 
 func TestLatticeRoundTrip(t *testing.T) {
@@ -245,50 +208,10 @@ func TestLatticeShift(t *testing.T) {
 	}
 }
 
-func TestLatticeShellOrder(t *testing.T) {
-	l := NewLattice(3, 3)
-	order := l.ShellOrder()
-	if len(order) != 9 {
-		t.Fatal("wrong order length")
-	}
-	coords := make([]int, 2)
-	prevSum := -1
-	for _, idx := range order {
-		l.Coords(idx, coords)
-		s := coords[0] + coords[1]
-		if s < prevSum {
-			t.Fatalf("shell order violated at %v", coords)
-		}
-		prevSum = s
-	}
-}
-
 func TestExpectedValue(t *testing.T) {
 	pi := []float64{0.2, 0.3, 0.5}
 	got := ExpectedValue(pi, func(i int) float64 { return float64(i) })
 	wantClose(t, "E", got, 1.3, 1e-12)
-}
-
-// Property: birth–death product form always sums to 1 and is non-negative.
-func TestQuickBirthDeathNormalised(t *testing.T) {
-	f := func(b, d float64, nRaw uint8) bool {
-		n := int(nRaw%50) + 2
-		bb := math.Abs(math.Mod(b, 10)) + 0.1
-		dd := math.Abs(math.Mod(d, 10)) + 0.1
-		pi := BirthDeath(n, func(int) float64 { return bb },
-			func(i int) float64 { return dd * float64(i) })
-		var sum float64
-		for _, p := range pi {
-			if p < 0 || math.IsNaN(p) {
-				return false
-			}
-			sum += p
-		}
-		return math.Abs(sum-1) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
 }
 
 // Property: lattice Index/Coords are inverse bijections for random shapes.

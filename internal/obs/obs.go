@@ -50,9 +50,6 @@ type Gauge struct {
 // Set stores the current value. Allocation-free.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add shifts the gauge by n (useful for live population tracking).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

@@ -1,9 +1,7 @@
 // Package quad provides the small numerical toolkit the HAP solvers need:
 // adaptive quadrature on finite and semi-infinite intervals (for Laplace
-// transforms of the closed-form interarrival density in Solution 2),
-// root finding and damped fixed-point iteration (for the G/M/1 σ equation),
-// and tolerance-controlled series summation (for the Poisson-mixture sums of
-// the truncated-population variants).
+// transforms of the closed-form interarrival density in Solution 2), and
+// root finding and damped fixed-point iteration (for the G/M/1 σ equation).
 //
 // Everything is dependency-free and deterministic; tolerances are absolute
 // unless noted.
@@ -85,18 +83,4 @@ func ToInf(f Func, a, scale, tol float64) float64 {
 		w *= 2
 	}
 	return total
-}
-
-// Trapezoid integrates f over [a, b] with n uniform panels. It is used in
-// tests as an independent check on Simpson.
-func Trapezoid(f Func, a, b float64, n int) float64 {
-	if n < 1 {
-		n = 1
-	}
-	h := (b - a) / float64(n)
-	sum := (f(a) + f(b)) / 2
-	for i := 1; i < n; i++ {
-		sum += f(a + float64(i)*h)
-	}
-	return sum * h
 }

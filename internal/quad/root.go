@@ -41,17 +41,12 @@ func Bisect(f Func, a, b, tol float64) (float64, int, error) {
 // maxIter is exhausted. damp = 0.5 reproduces the paper's σ-algorithm, which
 // averages the previous iterate with the map value at every step.
 // It returns the final iterate, the number of iterations used, and
-// ErrNoConvergence when the budget runs out.
-func FixedPoint(g Func, x0, damp, tol float64, maxIter int) (float64, int, error) {
-	return FixedPointCtx(nil, g, x0, damp, tol, maxIter)
-}
-
-// FixedPointCtx is FixedPoint with cooperative cancellation: ctx (nil means
-// "never cancelled") is polled every few iterations, and the context error
-// is returned with the current iterate when it fires. The map g may be
+// ErrNoConvergence when the budget runs out. ctx (nil means "never
+// cancelled") is polled every few iterations, and the context error is
+// returned with the current iterate when it fires: the map g may be
 // expensive (Laplace transforms of large mixtures), so long budgets want a
 // cancel path.
-func FixedPointCtx(ctx context.Context, g Func, x0, damp, tol float64, maxIter int) (float64, int, error) {
+func FixedPoint(ctx context.Context, g Func, x0, damp, tol float64, maxIter int) (float64, int, error) {
 	if damp <= 0 || damp > 1 {
 		damp = 0.5
 	}
@@ -72,51 +67,4 @@ func FixedPointCtx(ctx context.Context, g Func, x0, damp, tol float64, maxIter i
 		x = (1-damp)*x + damp*gx
 	}
 	return x, maxIter, ErrNoConvergence
-}
-
-// SumToTol sums term(0) + term(1) + ... stopping when |term(k)| stays below
-// tol for a few consecutive terms (series with non-monotone leading terms,
-// such as Poisson-weighted sums, need the grace window). maxTerms bounds the
-// work; the partial sum is returned in all cases.
-func SumToTol(term func(k int) float64, tol float64, maxTerms int) float64 {
-	if maxTerms <= 0 {
-		maxTerms = 1 << 20
-	}
-	if tol <= 0 {
-		tol = 1e-14
-	}
-	var sum float64
-	below := 0
-	for k := 0; k < maxTerms; k++ {
-		t := term(k)
-		sum += t
-		if math.Abs(t) < tol {
-			below++
-			if below >= 3 && k >= 3 {
-				break
-			}
-		} else {
-			below = 0
-		}
-	}
-	return sum
-}
-
-// LogFactorial returns ln(k!) for k >= 0, used to evaluate Poisson weights
-// without overflow.
-func LogFactorial(k int) float64 {
-	lg, _ := math.Lgamma(float64(k) + 1)
-	return lg
-}
-
-// PoissonPMF returns e^{-m} m^k / k! computed in log space, safely for
-// large m and k.
-func PoissonPMF(k int, m float64) float64 {
-	if m == 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	return math.Exp(float64(k)*math.Log(m) - m - LogFactorial(k))
 }

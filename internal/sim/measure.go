@@ -97,9 +97,6 @@ func NewMeasurements(cfg MeasureConfig) *Measurements {
 	return m
 }
 
-// Warmup returns the configured warmup horizon.
-func (m *Measurements) Warmup() float64 { return m.cfg.Warmup }
-
 func (m *Measurements) start(t float64, qlen, users, apps int) {
 	m.nextQueueSample = t
 	m.nextPopSample = t

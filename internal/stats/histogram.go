@@ -102,27 +102,6 @@ func (h *Histogram) Center(i int) float64 {
 	return h.Lo + (float64(i)+0.5)*h.BinWidth()
 }
 
-// Density returns the estimated probability density at the centre of bin i:
-// count / (N · binWidth).
-func (h *Histogram) Density(i int) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.bins[i]) / (float64(h.n) * h.BinWidth())
-}
-
-// CDFAt returns the empirical CDF at the right edge of bin i.
-func (h *Histogram) CDFAt(i int) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	c := h.under
-	for j := 0; j <= i; j++ {
-		c += h.bins[j]
-	}
-	return float64(c) / float64(h.n)
-}
-
 // Quantile returns an approximate p-quantile by linear interpolation within
 // the containing bin. p is clamped to [0, 1] (NaN clamps to 0), so callers
 // feeding computed probabilities always get a value inside [Lo, Hi] and

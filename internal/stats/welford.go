@@ -65,9 +65,6 @@ func (w *Welford) HalfWidth95() float64 {
 	return 1.96 * w.Std() / math.Sqrt(float64(w.n))
 }
 
-// Min returns the smallest observation (0 if empty).
-func (w *Welford) Min() float64 { return w.min }
-
 // Max returns the largest observation (0 if empty).
 func (w *Welford) Max() float64 { return w.max }
 
@@ -102,9 +99,6 @@ func (w *Welford) Merge(other *Welford) {
 	}
 }
 
-// Reset clears the accumulator.
-func (w *Welford) Reset() { *w = Welford{} }
-
 func (w *Welford) String() string {
 	return fmt.Sprintf("n=%d mean=%.6g std=%.6g min=%.6g max=%.6g", w.n, w.Mean(), w.Std(), w.min, w.max)
 }
@@ -124,7 +118,7 @@ func grossRegression(t, last float64) bool {
 	return last-t > TimeEps*scale
 }
 
-// TimeWeighted accumulates the time average and time-weighted variance of a
+// TimeWeighted accumulates the time average and maximum of a
 // piecewise-constant process such as queue length. Call Update with the new
 // value at each change instant; the process is assumed to hold the previous
 // value since the prior update.
@@ -133,7 +127,6 @@ type TimeWeighted struct {
 	last    float64
 	lastVal float64
 	area    float64
-	area2   float64
 	max     float64
 	started bool
 }
@@ -141,7 +134,7 @@ type TimeWeighted struct {
 // Start initialises the process at time t with value v.
 func (tw *TimeWeighted) Start(t, v float64) {
 	tw.start, tw.last, tw.lastVal = t, t, v
-	tw.area, tw.area2 = 0, 0
+	tw.area = 0
 	tw.max = v
 	tw.started = true
 }
@@ -161,7 +154,6 @@ func (tw *TimeWeighted) Update(t, v float64) {
 		t, dt = tw.last, 0
 	}
 	tw.area += tw.lastVal * dt
-	tw.area2 += tw.lastVal * tw.lastVal * dt
 	tw.last, tw.lastVal = t, v
 	if v > tw.max {
 		tw.max = v
@@ -177,22 +169,12 @@ func (tw *TimeWeighted) Mean() float64 {
 	return tw.area / d
 }
 
-// Var returns the time-weighted variance.
-func (tw *TimeWeighted) Var() float64 {
-	d := tw.last - tw.start
-	if d <= 0 {
-		return 0
-	}
-	m := tw.area / d
-	return tw.area2/d - m*m
-}
-
 // Max returns the largest value seen.
 func (tw *TimeWeighted) Max() float64 { return tw.max }
 
 // Merge folds another accumulator's observation window into tw, as if the
 // two disjoint windows had been observed back to back: integrals and
-// elapsed time add, so Mean and Var become the combined time averages.
+// elapsed time add, so Mean becomes the combined time average.
 // Merge a finished window only (after its closing Update); calling Update
 // on the merged result afterwards is not meaningful.
 func (tw *TimeWeighted) Merge(o *TimeWeighted) {
@@ -205,7 +187,6 @@ func (tw *TimeWeighted) Merge(o *TimeWeighted) {
 	}
 	elapsed := tw.Elapsed() + o.Elapsed()
 	tw.area += o.area
-	tw.area2 += o.area2
 	tw.last = tw.start + elapsed
 	tw.lastVal = o.lastVal
 	if o.max > tw.max {
@@ -215,6 +196,3 @@ func (tw *TimeWeighted) Merge(o *TimeWeighted) {
 
 // Elapsed returns the observed horizon.
 func (tw *TimeWeighted) Elapsed() float64 { return tw.last - tw.start }
-
-// Current returns the value most recently set.
-func (tw *TimeWeighted) Current() float64 { return tw.lastVal }

@@ -60,41 +60,6 @@ func WriteCSV(path string, cols ...Series) error {
 	return w.Error()
 }
 
-// ReadCSV reads a file written by WriteCSV back into series (used by
-// tests; empty cells terminate the column).
-func ReadCSV(path string) ([]Series, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r := csv.NewReader(f)
-	recs, err := r.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("trace: empty csv %s", path)
-	}
-	out := make([]Series, len(recs[0]))
-	for i, name := range recs[0] {
-		out[i].Name = name
-	}
-	for _, rec := range recs[1:] {
-		for i, cell := range rec {
-			if cell == "" {
-				continue
-			}
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil {
-				return nil, err
-			}
-			out[i].Values = append(out[i].Values, v)
-		}
-	}
-	return out, nil
-}
-
 // Downsample reduces xs/ys to at most n points by taking the maximum y in
 // each bucket (max-preserving, so queue-length mountains survive; means
 // would flatten them).

@@ -14,11 +14,11 @@ import (
 )
 
 // This file is the reading half of the package: hapfit ingests packet
-// traces users hand it, so unlike ReadCSV (which round-trips this
-// package's own writer output for tests) the readers here are tolerant of
-// the dialect zoo real trace files arrive in — CRLF line endings, blank
-// lines, ragged rows, optional header rows, stray spaces — and return
-// ErrBadParameter errors instead of panicking on anything malformed.
+// traces users hand it, so the readers here are tolerant of the dialect
+// zoo real trace files arrive in — CRLF line endings, blank lines, ragged
+// rows, optional header rows, stray spaces — and return ErrBadParameter
+// errors instead of panicking on anything malformed. ReadCSVFrom also
+// reads WriteCSV's output back.
 
 // ReadCSVFrom parses CSV from r into column series. Tolerated dialect:
 // CRLF or LF endings, blank lines anywhere, rows with differing field

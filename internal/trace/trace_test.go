@@ -18,7 +18,12 @@ func TestWriteReadCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, err := ReadCSV(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cols, err := ReadCSVFrom(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,12 +41,6 @@ func TestWriteReadCSVRoundTrip(t *testing.T) {
 func TestWriteCSVEmptyFails(t *testing.T) {
 	if err := WriteCSV(filepath.Join(t.TempDir(), "x.csv")); err == nil {
 		t.Error("expected error for no columns")
-	}
-}
-
-func TestReadCSVMissing(t *testing.T) {
-	if _, err := ReadCSV(filepath.Join(t.TempDir(), "nope.csv")); !os.IsNotExist(err) {
-		t.Errorf("expected not-exist, got %v", err)
 	}
 }
 
