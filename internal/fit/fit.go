@@ -13,8 +13,9 @@
 //     K = core.IDCKernel, identifies the per-level modulation amplitudes
 //     cⱼ and relaxation rates aⱼ (one exponential for ON-OFF, the paper's
 //     two-exponential cascade — core.Model.NewIDC — for the 3-level HAP);
-//   - inverting core's exact covariance coefficients (IDC.Components)
-//     turns (λ̄, c₁, a₁ = μ', c₂, a₂ = μ) back into (λ, μ, λ', μ', λ”).
+//   - inverting core's exact covariance coefficients (those behind
+//     core.Model.NewIDC) turns (λ̄, c₁, a₁ = μ', c₂, a₂ = μ) back into
+//     (λ, μ, λ', μ', λ”).
 //
 // What a stationary arrival trace cannot identify is documented rather
 // than guessed at: the message service rate μ” (no departures are
@@ -48,9 +49,6 @@ type Options struct {
 	// which the recovered level products are distributed. 0 defaults to 1.
 	// Equation 5: any split with the same leaf count yields the same law.
 	AppTypes, Fanout int
-	// MinBins is the minimum completed bins behind an IDC point for it to
-	// enter the curve fit (< 2 defaults to 8).
-	MinBins int64
 	// EM tunes the Baum-Welch MMPP2 fitter.
 	EM EMOptions
 	// Models restricts the candidate set of Fit ("poisson", "onoff",
@@ -61,13 +59,11 @@ type Options struct {
 	// only on the trace and per-model options, so the report is identical
 	// at any worker count.
 	Workers int
-	// Scratch, when non-nil, carries warm-start state across successive
-	// fits: the moment-matching ON-OFF/HAP fitters reuse their decay-rate
-	// grid-search bracket (searching locally around the previous winner
-	// before falling back to the full grid), and the EM fitter reuses its
-	// working arrays. Not safe for concurrent use.
-	Scratch *Scratch
 }
+
+// minIDCBins is the minimum completed bins behind an IDC point for it to
+// enter the moment fitters' curve fit.
+const minIDCBins = 8
 
 func (o Options) serviceRate(rate float64) float64 {
 	if o.ServiceRate > 0 {
@@ -85,13 +81,6 @@ func (o Options) shape() (l, fanout int) {
 		fanout = 1
 	}
 	return l, fanout
-}
-
-func (o Options) minBins() int64 {
-	if o.MinBins < 2 {
-		return 8
-	}
-	return o.MinBins
 }
 
 // PoissonFit is a fitted Poisson process.
@@ -133,8 +122,7 @@ type OnOffFit struct {
 func FitOnOff(ts *TraceStats, opt Options) (OnOffFit, error) {
 	start := time.Now()
 	rate := ts.Rate()
-	pts := ts.IDCPoints(opt.minBins())
-	c, a, diag, err := fitExpCovariance(pts, rate, 1, opt.Scratch)
+	c, a, diag, err := fitExpCovariance(ts.IDCPoints(minIDCBins), rate, 1)
 	if err != nil {
 		recordFitErr("onoff", start, err)
 		return OnOffFit{}, err
@@ -179,16 +167,9 @@ type HAPFit struct {
 // distribute L and P over the tree (Equation 5 makes every split with the
 // same leaf count equivalent).
 func FitSymmetricHAP(ts *TraceStats, opt Options) (HAPFit, error) {
-	return FitSymmetricHAPPoints(ts.Rate(), ts.IDCPoints(opt.minBins()), opt)
-}
-
-// FitSymmetricHAPPoints is FitSymmetricHAP from an already-snapshotted
-// rate and IDC curve — the form the continuous control loop uses, where
-// the TraceStats lives on the ingest goroutine and only a cheap snapshot
-// (rate + points) crosses to the fit worker.
-func FitSymmetricHAPPoints(rate float64, pts []IDCPoint, opt Options) (HAPFit, error) {
 	start := time.Now()
-	c, a, diag, err := fitExpCovariance(pts, rate, 2, opt.Scratch)
+	rate := ts.Rate()
+	c, a, diag, err := fitExpCovariance(ts.IDCPoints(minIDCBins), rate, 2)
 	if err != nil {
 		recordFitErr("hap", start, err)
 		return HAPFit{}, err
@@ -242,13 +223,7 @@ func FitSymmetricHAPPoints(rate float64, pts []IDCPoint, opt Options) (HAPFit, e
 // followed by golden-section refinement. Points are weighted by their
 // completed-bin count. Returns amplitudes, rates and a Diag with the
 // weighted RMS residual.
-//
-// When scr carries a warm bracket (a previous fit's accepted rates), the
-// grid search is replaced by a local sweep of ±warmSpan grid steps around
-// the previous winner — the sliding-window refit case, where the knee
-// moves slowly between calls. An inadmissible warm sweep falls back to
-// the full grid, so warm starts change cost, never feasibility.
-func fitExpCovariance(pts []IDCPoint, rate float64, k int, scr *Scratch) (c, a []float64, diag haperr.Diag, err error) {
+func fitExpCovariance(pts []IDCPoint, rate float64, k int) (c, a []float64, diag haperr.Diag, err error) {
 	if !(rate > 0) {
 		return nil, nil, diag, haperr.Badf("fit: trace has no measurable rate")
 	}
@@ -288,41 +263,14 @@ func fitExpCovariance(pts []IDCPoint, rate float64, k int, scr *Scratch) (c, a [
 			copy(bestC, cs)
 		}
 	}
-	gridStep := math.Pow(hi/lo, 1/float64(gridN-1))
-	warm := false
-	if scr != nil {
-		if prev := scr.warmRates(k); len(prev) == k {
-			// Local sweep: every combination of prev[j]·step^i,
-			// i ∈ [−warmSpan, warmSpan], clamped to the grid's range.
-			const warmSpan = 2
-			local := func(base float64, i int) float64 {
-				v := base * math.Pow(gridStep, float64(i))
-				return math.Min(math.Max(v, lo), hi)
-			}
-			if k == 1 {
-				for i := -warmSpan; i <= warmSpan; i++ {
-					tryRates([]float64{local(prev[0], i)})
-				}
-			} else {
-				for i := -warmSpan; i <= warmSpan; i++ {
-					for j := -warmSpan; j <= warmSpan; j++ {
-						tryRates([]float64{local(prev[0], i), local(prev[1], j)})
-					}
-				}
-			}
-			warm = !math.IsInf(best, 1)
+	if k == 1 {
+		for _, a0 := range grid {
+			tryRates([]float64{a0})
 		}
-	}
-	if !warm {
-		if k == 1 {
-			for _, a0 := range grid {
-				tryRates([]float64{a0})
-			}
-		} else {
-			for i, a0 := range grid {
-				for _, a1 := range grid[i+1:] {
-					tryRates([]float64{a1, a0}) // a1 > a0: fast rate first
-				}
+	} else {
+		for i, a0 := range grid {
+			for _, a1 := range grid[i+1:] {
+				tryRates([]float64{a1, a0}) // a1 > a0: fast rate first
 			}
 		}
 	}
@@ -330,7 +278,7 @@ func fitExpCovariance(pts []IDCPoint, rate float64, k int, scr *Scratch) (c, a [
 		return nil, nil, diag, haperr.Badf("fit: no admissible %d-exponential covariance fit", k)
 	}
 	// Coordinate-wise golden-section refinement around the grid winner.
-	step := gridStep
+	step := math.Pow(hi/lo, 1/float64(gridN-1))
 	for round := 0; round < 3; round++ {
 		for j := 0; j < k; j++ {
 			lo, hi := bestA[j]/step, bestA[j]*step
@@ -373,9 +321,6 @@ func fitExpCovariance(pts []IDCPoint, rate float64, k int, scr *Scratch) (c, a [
 		Iterations: evals,
 		Residual:   math.Sqrt(best / wsum),
 		Converged:  true,
-	}
-	if scr != nil {
-		scr.setWarmRates(k, bestA)
 	}
 	return bestC, bestA, diag, nil
 }

@@ -273,43 +273,6 @@ func TestInterarrivalsCappedAllocation(t *testing.T) {
 	}
 }
 
-// TestMomentFitWarmBracket asserts the decay-rate grid search reuses its
-// bracket through Options.Scratch: the second fit runs far fewer
-// objective evaluations and lands on the same knee.
-func TestMomentFitWarmBracket(t *testing.T) {
-	times := synthTimes(60000, 17)
-	ts, err := Analyze(times, TraceConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var scr Scratch
-	opt := Options{Scratch: &scr}
-	cold, err := FitOnOff(ts, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := FitOnOff(ts, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Diag.Iterations >= cold.Diag.Iterations {
-		t.Errorf("warm bracket fit used %d evaluations, cold used %d — warm should be cheaper",
-			warm.Diag.Iterations, cold.Diag.Iterations)
-	}
-	if rel := math.Abs(warm.Model.Mu-cold.Model.Mu) / cold.Model.Mu; rel > 0.10 {
-		t.Errorf("warm knee μ=%g drifted %.1f%% from cold μ=%g", warm.Model.Mu, 100*rel, cold.Model.Mu)
-	}
-	// Without a scratch, every fit pays the full grid.
-	coldAgain, err := FitOnOff(ts, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coldAgain.Diag.Iterations != cold.Diag.Iterations {
-		t.Errorf("scratch-free fit used %d evaluations, first cold fit %d — cold cost regressed",
-			coldAgain.Diag.Iterations, cold.Diag.Iterations)
-	}
-}
-
 // TestFitParallelCandidatesDeterminism asserts Fit's report is identical
 // at any worker count.
 func TestFitParallelCandidatesDeterminism(t *testing.T) {

@@ -58,17 +58,11 @@ func (rf *Refitter) RefitTimes(ctx context.Context, times []float64) (MMPP2Fit, 
 }
 
 // Last returns the most recent usable fit and whether one exists. The
-// fit may be an ErrNotConverged best iterate — consult Converged (or the
-// fit's own Diag.Converged) before treating it as authoritative; a
-// budget-exhausted window still advances the warm state because its best
-// iterate is the closest starting point for the next window.
+// fit may be an ErrNotConverged best iterate — consult its Diag.Converged
+// before treating it as authoritative; a budget-exhausted window still
+// advances the warm state because its best iterate is the closest
+// starting point for the next window.
 func (rf *Refitter) Last() (MMPP2Fit, bool) { return rf.prev, rf.warm }
-
-// Converged reports whether the warm state holds a fit that met the EM
-// tolerance. False both before the first fit and after a window whose
-// budget ran out (ErrNotConverged) — the signal a control plane uses to
-// mark decisions derived from the current fit as degraded.
-func (rf *Refitter) Converged() bool { return rf.warm && rf.prev.Diag.Converged }
 
 // RefitReport is the exportable snapshot of one refit cycle. The window
 // moments describe exactly the data the fit saw; the cumulative moments

@@ -9,32 +9,22 @@ import (
 
 // Scratch is the fit layer's reusable working memory: the interarrival
 // buffer and the SoA forward/backward/scale/emission arrays the Baum-Welch
-// EM core runs in, plus the moment fitters' warm-start state. A zero
-// Scratch is ready to use; passing the same Scratch to successive fits
-// (EMOptions.Scratch / Options.Scratch) makes the hot path allocation-free
-// once the buffers have grown to the largest trace seen — the property
-// TestFitHotPathAllocs pins and the hap_fit_scratch_* counters report.
+// EM core runs in. A zero Scratch is ready to use; passing the same
+// Scratch to successive fits (EMOptions.Scratch) makes the hot path
+// allocation-free once the buffers have grown to the largest trace seen —
+// the property TestFitHotPathAllocs pins and the hap_fit_scratch_*
+// counters report.
 //
 // A Scratch is not safe for concurrent use: parallel multi-start and
 // model-selection runs draw per-worker scratches from an internal pool
-// instead of sharing one (warm-start state is cleared on pooled reuse so
-// results stay a function of the start index alone).
+// instead of sharing one. Buffer contents never influence a result, so a
+// pooled scratch needs no reset.
 type Scratch struct {
 	// x holds the interarrival sequence under fit; w/inv/a0/a1 are the
 	// per-sample emission, renormalization-scale and forward buffers of
 	// the EM core (the backward pass is fused into the M step and keeps
 	// no per-sample state).
 	x, w, inv, a0, a1 []float64
-
-	// warm1/warm2 remember the last accepted decay rates of the 1- and
-	// 2-exponential IDC covariance fits; a subsequent fit through the
-	// same Scratch searches a local bracket around them instead of the
-	// full grid (fitExpCovariance).
-	warm1, warm2 []float64
-
-	// warmEM remembers the last accepted EM iterate for Refitter-style
-	// warm starts (nil until a fit succeeds).
-	warmEM *MMPP2Fit
 }
 
 // interarrivals fills s.x with the (capped) interarrival sequence of the
@@ -84,46 +74,10 @@ func growBuf(buf []float64, n int) []float64 {
 	return make([]float64, n)
 }
 
-// warmRates returns the remembered decay-rate bracket for a k-exponential
-// covariance fit (nil when none or mismatched).
-func (s *Scratch) warmRates(k int) []float64 {
-	switch k {
-	case 1:
-		return s.warm1
-	case 2:
-		return s.warm2
-	}
-	return nil
-}
-
-// setWarmRates records the accepted decay rates for the next fit.
-func (s *Scratch) setWarmRates(k int, rates []float64) {
-	switch k {
-	case 1:
-		s.warm1 = append(s.warm1[:0], rates...)
-	case 2:
-		s.warm2 = append(s.warm2[:0], rates...)
-	}
-}
-
-// resetWarm clears warm-start state while keeping the buffers. Pooled
-// scratches are reset on checkout so parallel fits stay deterministic:
-// buffer contents never influence a result, warm state does.
-func (s *Scratch) resetWarm() {
-	s.warm1 = s.warm1[:0]
-	s.warm2 = s.warm2[:0]
-	s.warmEM = nil
-}
-
 // scratchPool serves per-worker scratches to the parallel multi-start and
-// model-selection paths. Only buffers survive reuse (resetWarm), so a
-// pooled scratch can never leak one fit's warm state into another.
+// model-selection paths.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-func getScratch() *Scratch {
-	s := scratchPool.Get().(*Scratch)
-	s.resetWarm()
-	return s
-}
+func getScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
 func putScratch(s *Scratch) { scratchPool.Put(s) }

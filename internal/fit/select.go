@@ -109,13 +109,11 @@ func Fit(ctx context.Context, times []float64, opt Options) (*Report, error) {
 	rep := &Report{Trace: ts.Summary()}
 	// Candidates are independent, so they fan out over par with the usual
 	// determinism contract: candidate i depends only on (trace, models[i],
-	// options), so the report is bit-identical at any Workers count. Warm
-	// scratch state is deliberately not forwarded — cross-fit warm starts
-	// belong to the single-model refit loop (Refitter), not to a selection
-	// sweep whose candidates may run concurrently.
+	// options), so the report is bit-identical at any Workers count. A
+	// caller's EM scratch is not forwarded: candidates may run
+	// concurrently, and each EM fit draws its own from the pool.
 	cands := par.Map(ctx, len(models), opt.Workers, func(i int) Candidate {
 		copt := opt
-		copt.Scratch = nil
 		copt.EM.Scratch = nil
 		return fitCandidate(ctx, models[i], ts, sorted, sample, copt)
 	})

@@ -311,9 +311,6 @@ func (ts *TraceStats) MeanIA() float64 { return ts.ia.Mean() }
 // interarrival times (Poisson: 1; HAP: > 1).
 func (ts *TraceStats) C2() float64 { return ts.ia.SCV() }
 
-// IA returns a copy of the interarrival Welford accumulator.
-func (ts *TraceStats) IA() stats.Welford { return ts.ia }
-
 // IDCPoint is one empirical index-of-dispersion estimate.
 type IDCPoint struct {
 	Window float64 // bin width, seconds
@@ -325,12 +322,7 @@ type IDCPoint struct {
 // minBins completed bins (minBins < 2 defaults to 2; the variance of a
 // 1-bin estimate is undefined).
 func (ts *TraceStats) IDCPoints(minBins int64) []IDCPoint {
-	return ts.AppendIDCPoints(nil, minBins)
-}
-
-// AppendIDCPoints is IDCPoints appending into dst — allocation-free when
-// dst has capacity, for snapshot loops that run per refit cycle.
-func (ts *TraceStats) AppendIDCPoints(dst []IDCPoint, minBins int64) []IDCPoint {
+	var pts []IDCPoint
 	if minBins < 2 {
 		minBins = 2
 	}
@@ -339,13 +331,13 @@ func (ts *TraceStats) AppendIDCPoints(dst []IDCPoint, minBins int64) []IDCPoint 
 		if wa.counts.N() < minBins || wa.counts.Mean() <= 0 {
 			continue
 		}
-		dst = append(dst, IDCPoint{
+		pts = append(pts, IDCPoint{
 			Window: wa.w,
 			IDC:    wa.counts.Var() / wa.counts.Mean(),
 			Bins:   wa.counts.N(),
 		})
 	}
-	return dst
+	return pts
 }
 
 // BurstStats summarises the busy/idle run-length structure under the

@@ -114,9 +114,8 @@ func TestMergeMatchesSequentialIngest(t *testing.T) {
 	}
 	// The interarrival accumulators differ by exactly the one boundary
 	// interarrival the split drops.
-	aIA, wholeIA := a.IA(), whole.IA()
-	if aIA.N() != wholeIA.N()-1 {
-		t.Errorf("merged IA count = %d, want %d", aIA.N(), wholeIA.N()-1)
+	if a.ia.N() != whole.ia.N()-1 {
+		t.Errorf("merged IA count = %d, want %d", a.ia.N(), whole.ia.N()-1)
 	}
 }
 
