@@ -2,7 +2,8 @@
 // HAP solvers stand on: a sparse rate-matrix representation, a direct
 // banded GTH stationary solve, iterative steady-state solvers (the
 // paper's brute-force approach is exactly a sweep iteration on the balance
-// equations), closed-form birth–death results used as validators, and a
+// equations), the truncated-Poisson law of an admission-capped M/M/∞
+// population, the M/M/1/K law the solvers' tests check against, and a
 // lattice indexer for multi-dimensional state spaces such as HAP's
 // (x, y₁..y_l, z).
 //
@@ -23,7 +24,7 @@ import (
 
 // Runtime metrics: a sweep over a multi-million-state chain is the unit of
 // work the brute-force Solution 0 spends minutes in, so sweeps are counted
-// per convergence check (CheckEvery batches), not per state — the inner
+// per convergence check (checkEvery batches), not per state — the inner
 // loops stay untouched.
 var (
 	obsSweeps = obs.NewCounter("hap_markov_sweeps_total",
@@ -96,30 +97,29 @@ func (c *Chain) MaxOutRate() float64 {
 // SteadyOptions controls the iterative solvers.
 type SteadyOptions struct {
 	// Tol is the total-variation distance (Σ|Δπ|/2) between two iterates
-	// checked CheckEvery sweeps apart (every sweep for Gauss–Seidel) below
+	// checked checkEvery sweeps apart (every sweep for Gauss–Seidel) below
 	// which the iteration is declared converged (default 1e-10).
 	Tol     float64
 	MaxIter int // iteration budget (default 200000)
 	// Pi0 optionally warm-starts the iteration; it is normalised first.
-	Pi0        []float64
-	CheckEvery int // convergence/cancellation test period in sweeps (default 10)
-	// Ctx, when non-nil, is polled every CheckEvery sweeps; a cancelled
-	// context stops the iteration and returns the context error with the
-	// current (normalised) iterate.
+	Pi0 []float64
+	// Ctx, when non-nil, is polled every sweep; a cancelled context stops
+	// the iteration and returns the context error with the current
+	// (normalised) iterate.
 	Ctx context.Context
 }
 
+// checkEvery is the power iteration's convergence test period in sweeps.
+const checkEvery = 10
+
 func (o *SteadyOptions) defaults(n int) SteadyOptions {
-	out := SteadyOptions{Tol: 1e-10, MaxIter: 200000, CheckEvery: 10}
+	out := SteadyOptions{Tol: 1e-10, MaxIter: 200000}
 	if o != nil {
 		if o.Tol > 0 {
 			out.Tol = o.Tol
 		}
 		if o.MaxIter > 0 {
 			out.MaxIter = o.MaxIter
-		}
-		if o.CheckEvery > 0 {
-			out.CheckEvery = o.CheckEvery
 		}
 		out.Pi0 = o.Pi0
 		out.Ctx = o.Ctx
@@ -197,7 +197,7 @@ func (c *Chain) SteadyState(opts *SteadyOptions) ([]float64, Stats, error) {
 			}
 		}
 		pi, next = next, pi
-		if it%o.CheckEvery == 0 {
+		if it%checkEvery == 0 {
 			normalise(pi)
 			residual = maxRelDiff(pi, prevCheck)
 			obsSweeps.Add(int64(it - marked))

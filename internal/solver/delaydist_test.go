@@ -43,8 +43,8 @@ func TestDelayDistributionConsistentWithMeanQueue(t *testing.T) {
 	wantClose(t, "mean vs little", d.Mean(), qb.MeanQueue()/qb.MeanRate(), 1e-6)
 	// P_arr sums to ~1 and CCDF is monotone.
 	var sum float64
-	for z := 0; z < d.Len(); z++ {
-		sum += d.SeenQueue(z)
+	for _, p := range d.parr {
+		sum += p
 	}
 	wantClose(t, "arrival mass", sum, 1, 1e-8)
 	prev := 1.0

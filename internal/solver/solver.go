@@ -76,8 +76,6 @@ type Options struct {
 	Tol float64
 	// MaxIter is the sweep budget (default 20000).
 	MaxIter int
-	// SigmaMethod selects the G/M/1 σ solver for Solutions 1 and 2.
-	SigmaMethod gm1.Method
 	// WarmSigma, when inside (0, 1), seeds the G/M/1 σ bisection of
 	// Solutions 1 and 2 with a previous solve's σ — the continuous
 	// re-solve loop (ctrl's refit cycle, admission's bisections) moves σ
@@ -239,7 +237,7 @@ func solution1(m *core.Model, opts *Options) (Result, error) {
 // fixed point of interarrival transform a at mean rate lam, reported as
 // method's Result over states chain states.
 func solveSigma(method string, a gm1.Laplace, lam, muMsg float64, states int, opts *Options, start time.Time) (Result, error) {
-	res, err := gm1.Solve(a, lam, muMsg, &gm1.Options{Method: opts.SigmaMethod, Tol: opts.tol(), WarmSigma: opts.WarmSigma, Ctx: opts.Ctx})
+	res, err := gm1.Solve(a, lam, muMsg, &gm1.Options{Tol: opts.tol(), WarmSigma: opts.WarmSigma, Ctx: opts.Ctx})
 	if err != nil {
 		return Result{}, fmt.Errorf("solver: %s: %w", method, err)
 	}
