@@ -207,13 +207,8 @@ func SimulateSharded(m *Model, n int, cfg SimShardedConfig) *SimSharded {
 	return sim.RunShardedHAP(m, n, cfg)
 }
 
-// SimulateShardedOnOff is SimulateSharded for the 2-level / ON-OFF model.
-func SimulateShardedOnOff(tl *TwoLevel, n int, cfg SimShardedConfig) *SimSharded {
-	return sim.RunShardedOnOff(tl, n, cfg)
-}
-
 // NetTopology is a queueing network: nodes (single-server queues) joined
-// by directed links, built literally or with NetTandem/NetFanIn/NetGrid.
+// by directed links, built literally or with NetTandem/NetFanIn.
 type NetTopology = net.Topology
 
 // NetNode is one store-and-forward node of a NetTopology.
@@ -241,12 +236,6 @@ func NetTandem(name string, mus []float64, buffer int) *NetTopology {
 // superposition scenario made spatial.
 func NetFanIn(name string, k int, edgeMu, bottleneckMu float64, edgeBuffer, bottleneckBuffer int) *NetTopology {
 	return net.FanIn(name, k, edgeMu, bottleneckMu, edgeBuffer, bottleneckBuffer)
-}
-
-// NetGrid builds a w×h mesh with bidirectional 4-neighbour links and
-// shortest-path routing.
-func NetGrid(name string, w, h int, mu float64, buffer int) *NetTopology {
-	return net.Grid(name, w, h, mu, buffer)
 }
 
 // NetHAPIngress attaches a 3-level HAP source at a node; dst >= 0 routes

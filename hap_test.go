@@ -183,7 +183,8 @@ func TestFacadeFitTrace(t *testing.T) {
 		t.Fatalf("only %d arrivals kept", len(times))
 	}
 	rep, err := hap.FitTrace(context.Background(), times, hap.FitOptions{
-		Models: []string{"poisson", "onoff"},
+		Models: []string{"poisson", "onoff", "mmpp2"},
+		EM:     hap.FitEMOptions{MaxIter: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,6 +196,20 @@ func TestFacadeFitTrace(t *testing.T) {
 	if best == nil || math.Abs(best.Rate-8.25)/8.25 > 0.05 {
 		t.Fatalf("fitted rate %+v, want ≈ 8.25", best)
 	}
+	// The EM options reach the MMPP2 fitter: its budget caps the run.
+	var em hap.FitCandidate
+	for _, c := range rep.Candidates {
+		if c.Name == "mmpp2" {
+			em = c
+		}
+	}
+	if em.MMPP2 == nil || em.Diag.Iterations > 3 {
+		t.Errorf("mmpp2 candidate %+v, want a fit within the 3-iteration budget", em)
+	}
+	var sum hap.TraceSummary = rep.Trace
+	if sum.N != int64(len(times)) || math.Abs(sum.Rate-best.Rate) > 1e-9*best.Rate {
+		t.Errorf("trace summary n=%d rate=%v, want n=%d at the Poisson fit's rate %v", sum.N, sum.Rate, len(times), best.Rate)
+	}
 	// The fit layer publishes its own metric family on the shared registry.
 	snap := hap.Metrics()
 	found := false
@@ -205,5 +220,51 @@ func TestFacadeFitTrace(t *testing.T) {
 	}
 	if !found {
 		t.Error("no hap_fit_fits_total series incremented after FitTrace")
+	}
+}
+
+// TestFacadeSimulateSharded runs README's multi-core entry point: the
+// merged statistics of n sources are the same bits at any shard count.
+func TestFacadeSimulateSharded(t *testing.T) {
+	m := hap.PaperParams(20)
+	run := func(shards int) *hap.SimSharded {
+		r := hap.SimulateSharded(m, 4, hap.SimShardedConfig{Horizon: 2000, Seed: 5, Shards: shards})
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		return r
+	}
+	one, two := run(1), run(2)
+	if one.Arrivals == 0 || one.Merged.Delays.N() == 0 {
+		t.Fatal("sharded run produced no traffic")
+	}
+	if one.Arrivals != two.Arrivals || one.Departures != two.Departures || one.Events != two.Events ||
+		math.Float64bits(one.Merged.MeanDelay()) != math.Float64bits(two.Merged.MeanDelay()) {
+		t.Errorf("shards 1 vs 2: arrivals %d/%d, departures %d/%d, events %d/%d, delay %v/%v",
+			one.Arrivals, two.Arrivals, one.Departures, two.Departures, one.Events, two.Events,
+			one.Merged.MeanDelay(), two.Merged.MeanDelay())
+	}
+}
+
+// TestFacadeNetFanIn routes three Poisson sources through a fan-in whose
+// 4-slot bottleneck is overloaded: every offered packet is delivered,
+// dropped or still in flight.
+func TestFacadeNetFanIn(t *testing.T) {
+	topo := hap.NetFanIn("fanin", 3, 40, 10, 0, 4)
+	var ings []hap.NetIngress
+	for i := 0; i < 3; i++ {
+		ings = append(ings, hap.NetPoissonIngress(4, i, 3))
+	}
+	r := hap.SimulateNetwork(topo, ings, hap.NetConfig{Horizon: 500, Seed: 9})
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	e := r.E2E
+	if e.Delivered == 0 || e.DroppedFull == 0 {
+		t.Fatalf("delivered %d, dropped %d: want both", e.Delivered, e.DroppedFull)
+	}
+	if sum := e.Delivered + e.DroppedFull + e.DroppedHops + r.InFlight; e.Offered != sum {
+		t.Errorf("offered %d != delivered %d + dropped %d+%d + in flight %d",
+			e.Offered, e.Delivered, e.DroppedFull, e.DroppedHops, r.InFlight)
 	}
 }
