@@ -58,7 +58,8 @@ shard-smoke:
 
 # fit-smoke runs the generate→fit pipeline end to end: hapgen exports a
 # ~10k-arrival Poisson trace, hapfit fits it, and the gate asserts the
-# selector names "poisson" at the generator's rate.
+# selector names "poisson" at the generator's rate; then a bursty HAP
+# trace must fit its onoff and hap candidates and not select poisson.
 fit-smoke:
 	$(GO) run ./scripts/smoke fit
 

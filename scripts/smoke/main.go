@@ -164,33 +164,18 @@ func shardRow(dir string) error {
 		"hap_sim_merges_total")
 }
 
-// fitRow: hapgen exports a Poisson trace of about 10k arrivals and
-// hapfit -json must select poisson at the generator's rate, 8.25/s (the
-// paper's mean rate and hapgen's -source poisson default): the
-// deterministic contract of the generate → fit pipeline.
+// fitRow: hapgen exports two traces and hapfit -json fits each. On a
+// Poisson trace of about 10k arrivals the selector must pick poisson at
+// the generator's rate, 8.25/s (the paper's mean rate and hapgen's
+// -source poisson default): the deterministic contract of the generate →
+// fit pipeline. On a bursty HAP trace (7,288 arrivals) the moment fitters
+// must run: the onoff and hap candidates fit without error, and poisson
+// must not win.
 func fitRow(dir string) error {
 	const wantRate, rateBand, minArrivals = 8.25, 0.10, 8000
-	csv := filepath.Join(dir, "trace.csv")
-	if _, err := output(filepath.Join(dir, "hapgen"), "-mode", "trace", "-source", "poisson",
-		"-model-seconds", "1250", "-seed", "20260806", "-out", csv); err != nil {
-		return err
-	}
-	out, err := output(filepath.Join(dir, "hapfit"), "-in", csv, "-json")
+	rep, err := fitTrace(dir, "poisson")
 	if err != nil {
 		return err
-	}
-	var rep struct {
-		Trace struct {
-			N int64 `json:"N"`
-		} `json:"trace"`
-		Best       string `json:"best"`
-		Candidates []struct {
-			Name string  `json:"name"`
-			Rate float64 `json:"rate"`
-		} `json:"candidates"`
-	}
-	if err := json.Unmarshal([]byte(out), &rep); err != nil {
-		return fmt.Errorf("parse hapfit report: %w\n%s", err, out)
 	}
 	if rep.Trace.N < minArrivals {
 		return fmt.Errorf("trace holds %d arrivals, want at least %d", rep.Trace.N, minArrivals)
@@ -198,18 +183,73 @@ func fitRow(dir string) error {
 	if rep.Best != "poisson" {
 		return fmt.Errorf("selector picked %q on a Poisson trace, want poisson", rep.Best)
 	}
-	for _, c := range rep.Candidates {
-		if c.Name != "poisson" {
-			continue
-		}
-		if math.Abs(c.Rate-wantRate)/wantRate > rateBand {
-			return fmt.Errorf("fitted rate %.4g, want %.4g within %.0f%%", c.Rate, wantRate, 100*rateBand)
-		}
-		fmt.Printf("fit-smoke: %d arrivals, best=%s, rate %.4g (truth %.4g)\n",
-			rep.Trace.N, rep.Best, c.Rate, wantRate)
-		return nil
+	c := rep.candidate("poisson")
+	if c == nil {
+		return fmt.Errorf("no poisson candidate in report:\n%s", rep.raw)
 	}
-	return fmt.Errorf("no poisson candidate in report:\n%s", out)
+	if math.Abs(c.Rate-wantRate)/wantRate > rateBand {
+		return fmt.Errorf("fitted rate %.4g, want %.4g within %.0f%%", c.Rate, wantRate, 100*rateBand)
+	}
+
+	bursty, err := fitTrace(dir, "hap")
+	if err != nil {
+		return err
+	}
+	if bursty.Best == "" || bursty.Best == "poisson" {
+		return fmt.Errorf("selector picked %q on a HAP trace, want a modulated model:\n%s", bursty.Best, bursty.raw)
+	}
+	for _, name := range []string{"onoff", "hap"} {
+		if c := bursty.candidate(name); c == nil || c.Error != "" {
+			return fmt.Errorf("%s candidate on a HAP trace failed:\n%s", name, bursty.raw)
+		}
+	}
+	fmt.Printf("fit-smoke: %d arrivals, best=%s, rate %.4g (truth %.4g); HAP trace %d arrivals, best=%s\n",
+		rep.Trace.N, rep.Best, c.Rate, wantRate, bursty.Trace.N, bursty.Best)
+	return nil
+}
+
+// fitReport is the part of hapfit's -json report the fit row reads.
+type fitReport struct {
+	Trace struct {
+		N int64 `json:"N"`
+	} `json:"trace"`
+	Best       string         `json:"best"`
+	Candidates []fitCandidate `json:"candidates"`
+	raw        string
+}
+
+type fitCandidate struct {
+	Name  string  `json:"name"`
+	Rate  float64 `json:"rate"`
+	Error string  `json:"error"`
+}
+
+func (r *fitReport) candidate(name string) *fitCandidate {
+	for i := range r.Candidates {
+		if r.Candidates[i].Name == name {
+			return &r.Candidates[i]
+		}
+	}
+	return nil
+}
+
+// fitTrace has hapgen export a 1,250-model-second trace of source and
+// returns hapfit's -json report on it.
+func fitTrace(dir, source string) (*fitReport, error) {
+	csv := filepath.Join(dir, source+".csv")
+	if _, err := output(filepath.Join(dir, "hapgen"), "-mode", "trace", "-source", source,
+		"-model-seconds", "1250", "-seed", "20260806", "-out", csv); err != nil {
+		return nil, err
+	}
+	out, err := output(filepath.Join(dir, "hapfit"), "-in", csv, "-json")
+	if err != nil {
+		return nil, err
+	}
+	rep := &fitReport{raw: out}
+	if err := json.Unmarshal([]byte(out), rep); err != nil {
+		return nil, fmt.Errorf("parse hapfit report: %w\n%s", err, out)
+	}
+	return rep, nil
 }
 
 // ctrlRow: hapd serves 3 streams from a 2-worker shared fit pool (fewer
