@@ -3,6 +3,7 @@ package netgen
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -62,13 +63,24 @@ func TestGenerateHAPSchedule(t *testing.T) {
 	if math.Abs(s.MeanRate()-8.25)/8.25 > 0.25 {
 		t.Errorf("schedule rate = %v, want ≈ 8.25", s.MeanRate())
 	}
-	// Arrival times must be sorted and within the horizon.
+	// Arrival times must be sorted and within the horizon, and every
+	// message type's leaf must appear as its own class.
 	prev := 0.0
+	seen := make([]bool, m.NumLeaves())
 	for _, a := range s.Arrivals {
 		if a.T < prev || a.T > s.Horizon {
 			t.Fatalf("bad arrival time %v (prev %v)", a.T, prev)
 		}
+		if a.Class < 0 || a.Class >= len(seen) {
+			t.Fatalf("class %d outside [0, %d)", a.Class, len(seen))
+		}
 		prev = a.T
+		seen[a.Class] = true
+	}
+	for k, ok := range seen {
+		if !ok {
+			t.Errorf("class %d never generated", k)
+		}
 	}
 }
 
@@ -217,7 +229,8 @@ func TestSendCancelled(t *testing.T) {
 // TestRejectsBadParameters: Send refuses a pad that would wrap to ~4 GiB
 // or overflow a datagram and a compression that would make every packet
 // due at once, before it dials (an empty address fails to dial with
-// another error); GenerateHAP refuses a horizon that is not positive.
+// another error); every generator refuses a horizon that is not positive
+// and finite.
 func TestRejectsBadParameters(t *testing.T) {
 	s := &Schedule{Arrivals: []Arrival{{T: 0}}, Horizon: 1}
 	send := func(pad int, compression float64) func() error {
@@ -226,27 +239,33 @@ func TestRejectsBadParameters(t *testing.T) {
 			return err
 		}
 	}
-	generate := func(horizon float64) func() error {
-		return func() error {
-			_, err := GenerateHAP(core.PaperParams(20), horizon, 1)
-			return err
-		}
-	}
-	for _, tc := range []struct {
+	type testCase struct {
 		name string
 		run  func() error
 		bad  bool
-	}{
+	}
+	cases := []testCase{
 		{"pad -5", send(-5, 1), true},
 		{"pad past a datagram", send(maxDatagram-HeaderSize+1, 1), true},
 		{"largest pad", send(maxDatagram-HeaderSize, 1), false},
 		{"compression NaN", send(64, math.NaN()), true},
 		{"compression +Inf", send(64, math.Inf(1)), true},
 		{"compression -Inf", send(64, math.Inf(-1)), true},
-		{"horizon NaN", generate(math.NaN()), true},
-		{"horizon 0", generate(0), true},
-		{"horizon -1", generate(-1), true},
+	}
+	for name, gen := range map[string]func(horizon float64) (*Schedule, error){
+		"hap":     func(h float64) (*Schedule, error) { return GenerateHAP(core.PaperParams(20), h, 1) },
+		"poisson": func(h float64) (*Schedule, error) { return GeneratePoisson(8.25, h, 1) },
+		"onoff":   func(h float64) (*Schedule, error) { return GenerateOnOff(core.NewOnOff(0.5, 0.1, 10, 100), h, 1) },
 	} {
+		for _, h := range []float64{math.NaN(), 0, -1, math.Inf(1)} {
+			gen, h := gen, h
+			cases = append(cases, testCase{fmt.Sprintf("%s horizon %v", name, h), func() error {
+				_, err := gen(h)
+				return err
+			}, true})
+		}
+	}
+	for _, tc := range cases {
 		err := tc.run()
 		if got := errors.Is(err, haperr.ErrBadParameter); got != tc.bad || err == nil {
 			t.Errorf("%s: err %v, want ErrBadParameter %v", tc.name, err, tc.bad)

@@ -23,23 +23,21 @@ type Schedule struct {
 
 // GenerateHAP produces a HAP arrival schedule of the given model-time
 // horizon using the simulator's source machinery (so correlations are the
-// real thing, not the closed-form approximation).
+// real thing, not the closed-form approximation). Each arrival's class is
+// its message type's leaf index.
 func GenerateHAP(m *core.Model, horizon float64, seed int64) (*Schedule, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if !(horizon > 0) {
-		return nil, haperr.Badf("netgen: horizon must be positive (got %v)", horizon)
-	}
-	return generate(sim.NewHAPSource(m, dist.NewStreams(seed).Next()), horizon, seed)
+	return generate(sim.NewHAPSource(m, dist.NewStreams(seed).Next()), m.MeanRate(), horizon)
 }
 
 // GeneratePoisson produces the equal-rate Poisson baseline schedule.
 func GeneratePoisson(rate, horizon float64, seed int64) (*Schedule, error) {
-	if !(rate > 0) || math.IsInf(rate, 1) || !(horizon > 0) {
-		return nil, haperr.Badf("netgen: rate must be positive and finite and horizon positive (got rate %v, horizon %v)", rate, horizon)
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return nil, haperr.Badf("netgen: rate must be positive and finite (got %v)", rate)
 	}
-	return generate(sim.NewPoissonSource(rate, 1, dist.NewStreams(seed).Next()), horizon, seed)
+	return generate(sim.NewPoissonSource(rate, 1, dist.NewStreams(seed).Next()), rate, horizon)
 }
 
 // GenerateOnOff produces a 2-level/ON-OFF schedule.
@@ -47,21 +45,27 @@ func GenerateOnOff(tl *core.TwoLevel, horizon float64, seed int64) (*Schedule, e
 	if err := tl.Validate(); err != nil {
 		return nil, err
 	}
-	return generate(sim.NewOnOffSource(tl, dist.NewStreams(seed).Next()), horizon, seed)
+	return generate(sim.NewOnOffSource(tl, dist.NewStreams(seed).Next()), tl.MeanRate(), horizon)
 }
 
-// generate runs src for horizon model seconds through sim.Run and keeps
-// the arrival instants. The queue serves at the source's own rate, but the
-// instants depend on the source's stream alone, never on service.
-func generate(src sim.Source, horizon float64, seed int64) (*Schedule, error) {
-	r := sim.Run(src, sim.Config{Horizon: horizon, Seed: seed, Measure: sim.MeasureConfig{KeepArrivalTimes: 1 << 26}})
-	if r.Err != nil {
-		return nil, r.Err
+// generate runs src for horizon model seconds and records each arrival's
+// instant and class. The source feeds an alias station (see
+// sim.Engine.SetIngressHook), so nothing is queued or served, and the
+// schedule depends on the source's stream alone. The schedule starts with
+// room for 10% over the source's mean count, rate·horizon, up to 2²²
+// arrivals; past that it grows.
+func generate(src sim.Source, rate, horizon float64) (*Schedule, error) {
+	if !(horizon > 0) || math.IsInf(horizon, 1) {
+		return nil, haperr.Badf("netgen: horizon must be positive and finite (got %v)", horizon)
 	}
-	s := &Schedule{Arrivals: make([]Arrival, len(r.Meas.Arrivals)), Horizon: horizon}
-	for i, t := range r.Meas.Arrivals {
-		s.Arrivals[i].T = t
-	}
+	s := &Schedule{Arrivals: make([]Arrival, 0, int(min(1.1*rate*horizon, 1<<22))), Horizon: horizon}
+	e := sim.NewEngine(horizon)
+	alias := e.AddStation(nil, nil)
+	e.SetIngressHook(alias, func(class int) {
+		s.Arrivals = append(s.Arrivals, Arrival{T: e.Now(), Class: class})
+	})
+	src.Install(e, alias)
+	e.Run()
 	return s, nil
 }
 
