@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"hap/internal/haperr"
@@ -48,16 +49,6 @@ type CSAppType struct {
 	Messages []CSMessageType
 }
 
-// SpontaneousRate returns Σⱼ λᵢⱼ, the rate of exchange-opening requests of
-// one active instance.
-func (a CSAppType) SpontaneousRate() float64 {
-	var s float64
-	for _, m := range a.Messages {
-		s += m.Lambda
-	}
-	return s
-}
-
 // EffectiveRate returns the total message rate (requests + responses) of
 // one active instance once exchanges are accounted for.
 func (a CSAppType) EffectiveRate() float64 {
@@ -76,39 +67,40 @@ type CSModel struct {
 	Apps   []CSAppType
 }
 
-// Validate checks rates and probabilities, and that exchanges terminate
-// (q < 1 for every message type).
-func (m *CSModel) Validate() error {
-	var errs []string
-	check := func(name string, v float64) {
-		if !(v > 0) {
-			errs = append(errs, fmt.Sprintf("%s must be positive (got %v)", name, v))
-		}
-	}
-	prob := func(name string, v float64) {
-		if v < 0 || v > 1 {
-			errs = append(errs, fmt.Sprintf("%s must be in [0,1] (got %v)", name, v))
-		}
-	}
-	check("user Lambda", m.Lambda)
-	check("user Mu", m.Mu)
-	if len(m.Apps) == 0 {
-		errs = append(errs, "model needs at least one application type")
-	}
+// Requests returns the plain HAP of the exchange-opening requests: message
+// type (i,j) emits at λᵢⱼ and is served at μʳᵢⱼ. Responses and the
+// requests they trigger continue an exchange on top of this hierarchy.
+func (m *CSModel) Requests() *Model {
+	apps := make([]AppType, len(m.Apps))
 	for i, a := range m.Apps {
-		check(fmt.Sprintf("app[%d].Lambda", i), a.Lambda)
-		check(fmt.Sprintf("app[%d].Mu", i), a.Mu)
-		if len(a.Messages) == 0 {
-			errs = append(errs, fmt.Sprintf("app[%d] needs at least one message type", i))
-		}
+		msgs := make([]MessageType, len(a.Messages))
 		for j, msg := range a.Messages {
-			check(fmt.Sprintf("app[%d].msg[%d].Lambda", i, j), msg.Lambda)
-			check(fmt.Sprintf("app[%d].msg[%d].MuReq", i, j), msg.MuReq)
-			check(fmt.Sprintf("app[%d].msg[%d].MuResp", i, j), msg.MuResp)
-			prob(fmt.Sprintf("app[%d].msg[%d].PResp", i, j), msg.PResp)
-			prob(fmt.Sprintf("app[%d].msg[%d].PNext", i, j), msg.PNext)
-			if msg.ContinuationProbability() >= 1 {
-				errs = append(errs, fmt.Sprintf("app[%d].msg[%d]: PResp·PNext must be < 1 or exchanges never end", i, j))
+			msgs[j] = MessageType{Name: msg.Name, Lambda: msg.Lambda, Mu: msg.MuReq}
+		}
+		apps[i] = AppType{Name: a.Name, Lambda: a.Lambda, Mu: a.Mu, Messages: msgs}
+	}
+	return &Model{Name: m.Name, Lambda: m.Lambda, Mu: m.Mu, Apps: apps}
+}
+
+// Validate checks the request hierarchy with Model.Validate (a message's
+// Mu there is its MuReq), then each response rate and probability, and
+// that exchanges terminate (q < 1 for every message type).
+func (m *CSModel) Validate() error {
+	if err := m.Requests().Validate(); err != nil {
+		return fmt.Errorf("core: CS requests (Mu is MuReq): %w", err)
+	}
+	var errs []string
+	for i, a := range m.Apps {
+		for j, msg := range a.Messages {
+			name := fmt.Sprintf("app[%d].msg[%d]", i, j)
+			if !(msg.MuResp > 0) || math.IsInf(msg.MuResp, 1) {
+				errs = append(errs, fmt.Sprintf("%s.MuResp must be positive and finite (got %v)", name, msg.MuResp))
+			}
+			// !(0 <= p && p <= 1) rather than p < 0 || p > 1, so NaN fails.
+			if !(0 <= msg.PResp && msg.PResp <= 1) || !(0 <= msg.PNext && msg.PNext <= 1) {
+				errs = append(errs, fmt.Sprintf("%s: PResp and PNext must be in [0,1] (got %v, %v)", name, msg.PResp, msg.PNext))
+			} else if msg.ContinuationProbability() >= 1 {
+				errs = append(errs, fmt.Sprintf("%s: PResp·PNext must be < 1 or exchanges never end", name))
 			}
 		}
 	}
@@ -129,16 +121,6 @@ func (m *CSModel) MeanRate() float64 {
 	var s float64
 	for _, a := range m.Apps {
 		s += (a.Lambda / a.Mu) * a.EffectiveRate()
-	}
-	return m.Nu() * s
-}
-
-// MeanSpontaneousRate returns the mean rate of exchange-opening requests
-// only (the λ̄ of the underlying plain HAP).
-func (m *CSModel) MeanSpontaneousRate() float64 {
-	var s float64
-	for _, a := range m.Apps {
-		s += (a.Lambda / a.Mu) * a.SpontaneousRate()
 	}
 	return m.Nu() * s
 }

@@ -92,7 +92,7 @@ func TestCSModelRates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Effective rate exceeds spontaneous rate whenever PResp > 0.
-	if cs.MeanRate() <= cs.MeanSpontaneousRate() {
+	if cs.MeanRate() <= cs.Requests().MeanRate() {
 		t.Error("exchange amplification missing")
 	}
 	// Per-message-type algebra for the rlogin command loop.

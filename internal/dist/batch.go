@@ -16,10 +16,13 @@ const expBatchSize = 256
 // (a uniform drawn between two batched exponentials would see a stream
 // position up to expBatchSize draws ahead).
 //
-// The simulator satisfies that proviso by construction: after Install,
-// the HAP / ON-OFF / Poisson clocks draw nothing but ExpFloat64 from
-// their streams, and a station's service stream feeds only its
-// exponential server.
+// The simulator's HAP / ON-OFF / Poisson clocks satisfy that proviso by
+// construction: after Install they draw nothing but ExpFloat64 from their
+// streams, and a station's service stream feeds only its exponential
+// server. A HAP-CS source waives it: its exchange continuation draws
+// uniforms from its HAP source's stream between refills. Each draw is
+// still used once, so the process keeps its law, though not the bits an
+// unbatched reading would give.
 //
 // Not safe for concurrent use, like the *rand.Rand it wraps.
 type ExpBatch struct {

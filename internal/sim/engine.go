@@ -45,7 +45,7 @@ const (
 	evHAPUserDepart // a = user slot, b = generation
 	evHAPSpawn      // a = user slot, b = generation, c = application type
 	evHAPAppDepart  // a = app slot,  b = generation
-	evHAPEmit       // a = app slot,  b = generation, c = message type
+	evHAPEmit       // a = app slot,  b = generation, c = leaf
 	// PoissonSource
 	evPoissonArrive
 	// OnOffSource
@@ -57,14 +57,9 @@ const (
 	// MMPPSource
 	evMMPPSwitch // a = modulator generation
 	evMMPPArrive // a = modulator generation
-	// CSSource
-	evCSUserArrive
-	evCSUserDepart // a = user slot, b = generation
-	evCSSpawn      // a = user slot, b = generation, c = application type
-	evCSAppDepart  // a = app slot,  b = generation
-	evCSOpen       // a = app slot,  b = generation, c = flattened message type
-	evCSSendReq    // a = flattened message type
-	evCSSendResp   // a = flattened message type
+	// CSSource (its request hierarchy runs on the HAPSource kinds)
+	evCSSendReq  // a = flattened message type
+	evCSSendResp // a = flattened message type
 	// Network layer (internal/net)
 	evNetDeliver // src = target station index, a = packet handle
 )
@@ -93,23 +88,20 @@ type event struct {
 type table struct {
 	gen  []int32
 	live []bool
-	val  []int32 // per-entity payload (application type index)
 	free []int32
 }
 
-func (t *table) add(val int32) (slot, gen int32) {
+func (t *table) add() (slot, gen int32) {
 	if n := len(t.free); n > 0 {
 		slot = t.free[n-1]
 		t.free = t.free[:n-1]
 		t.gen[slot]++
 		t.live[slot] = true
-		t.val[slot] = val
 		return slot, t.gen[slot]
 	}
 	slot = int32(len(t.gen))
 	t.gen = append(t.gen, 0)
 	t.live = append(t.live, true)
-	t.val = append(t.val, val)
 	return slot, 0
 }
 
@@ -303,16 +295,6 @@ func (e *Engine) dispatch(ev *event) {
 		e.mmpps[ev.src].switchState(ev.a)
 	case evMMPPArrive:
 		e.mmpps[ev.src].arrive(ev.a)
-	case evCSUserArrive:
-		e.css[ev.src].userArrive()
-	case evCSUserDepart:
-		e.css[ev.src].userDepart(ev.a, ev.b)
-	case evCSSpawn:
-		e.css[ev.src].spawn(ev.a, ev.b, ev.c)
-	case evCSAppDepart:
-		e.css[ev.src].appDepart(ev.a, ev.b)
-	case evCSOpen:
-		e.css[ev.src].open(ev.a, ev.b, ev.c)
 	case evCSSendReq:
 		e.css[ev.src].sendRequest(ev.a)
 	case evCSSendResp:

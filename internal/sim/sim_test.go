@@ -179,7 +179,7 @@ func TestCSSourceAmplification(t *testing.T) {
 	// The effective rate including triggered messages must match the
 	// closed form, which exceeds the spontaneous rate.
 	wantClose(t, "effective rate", res.Meas.ObservedRate(), cs.MeanRate(), 0.08)
-	if res.Meas.ObservedRate() < cs.MeanSpontaneousRate()*1.3 {
+	if res.Meas.ObservedRate() < cs.Requests().MeanRate()*1.3 {
 		t.Error("exchange amplification not visible in simulation")
 	}
 	// Responses exist: odd classes must have departures.

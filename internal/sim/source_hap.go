@@ -17,11 +17,12 @@ import (
 // Users and applications live in slot tables (see table in engine.go);
 // every clock — user departure, application spawn, application departure,
 // message emission — is a typed event carrying (slot, generation), so the
-// steady-state event stream allocates nothing.
+// steady-state event stream allocates nothing. Message types are stored
+// flattened in declaration order: an emission event names its leaf, and
+// leaf k emits at rate[k], is served at mu[k] and counts as class[k].
 //
-// The user and application populations start at their stationary
-// (Poisson) laws rather than empty, which removes the user-level
-// transient (~1/μ) from the warmup bill.
+// Install starts the users at their stationary Poisson(ν) law; see
+// Install for the applications it starts with.
 type HAPSource struct {
 	Model *core.Model
 
@@ -32,7 +33,10 @@ type HAPSource struct {
 	st    int32 // station this source feeds
 	users table
 	apps  table
-	cls   [][]int // flattened class index per (i,j)
+	first []int32   // first leaf of each application type, then NumLeaves
+	rate  []float64 // emission rate λᵢⱼ per leaf
+	mu    []float64 // service rate μᵢⱼ per leaf
+	class []int     // message class per leaf (the leaf index for plain HAP)
 }
 
 // NewHAPSource builds a source for the model with its own random stream.
@@ -41,24 +45,29 @@ func NewHAPSource(m *core.Model, rng *rand.Rand) *HAPSource {
 		panic(err)
 	}
 	s := &HAPSource{Model: m, rng: rng}
-	idx := 0
 	for _, a := range m.Apps {
-		clsRow := make([]int, len(a.Messages))
-		for j := range a.Messages {
-			clsRow[j] = idx
-			idx++
+		s.first = append(s.first, int32(len(s.rate)))
+		for _, msg := range a.Messages {
+			s.class = append(s.class, len(s.rate))
+			s.rate = append(s.rate, msg.Lambda)
+			s.mu = append(s.mu, msg.Mu)
 		}
-		s.cls = append(s.cls, clsRow)
 	}
+	s.first = append(s.first, int32(len(s.rate)))
 	return s
 }
 
 // ClassCount returns the number of message classes (leaves).
-func (s *HAPSource) ClassCount() int { return s.Model.NumLeaves() }
+func (s *HAPSource) ClassCount() int { return len(s.rate) }
 
 func (s *HAPSource) String() string { return fmt.Sprintf("hap(%s)", s.Model) }
 
 // Install schedules the initial population and the first user arrival.
+// The users start at their stationary Poisson(ν) law, each with no
+// application yet. Applications start only as orphans of departed users:
+// Poisson((ν−x)·aᵢ) of type i given x initial users, none when x ≥ ν.
+// That is far below the stationary ν·aᵢ per type, so the application
+// level still carries a transient of order 1/μᵢ.
 func (s *HAPSource) Install(e *Engine, st int32) {
 	s.e = e
 	s.id = e.registerHAP(s)
@@ -67,11 +76,6 @@ func (s *HAPSource) Install(e *Engine, st int32) {
 	for k := 0; k < nUsers; k++ {
 		s.addUser()
 	}
-	// Orphaned applications from already-departed users: the stationary
-	// application population given x users is Poisson(x·aᵢ) per type only
-	// in the fast-equilibrium view; the exact marginal is Poisson(ν·aᵢ) in
-	// total. Sampling per live user covers the lion's share; the remainder
-	// (ν−x)·aᵢ belongs to departed users' still-running applications.
 	for i := range s.Model.Apps {
 		meanOrphans := (s.Model.Nu() - float64(nUsers)) * s.Model.AppLoad(i)
 		if meanOrphans > 0 {
@@ -102,7 +106,7 @@ func (s *HAPSource) userArrive() {
 
 // addUser creates a live user with its departure and per-type spawn clocks.
 func (s *HAPSource) addUser() {
-	slot, gen := s.users.add(0)
+	slot, gen := s.users.add()
 	s.e.addUsers(s.st, 1)
 	s.e.scheduleEvAfter(s.exp(s.Model.Mu), evHAPUserDepart, s.id, slot, gen, 0)
 	for i := range s.Model.Apps {
@@ -133,13 +137,13 @@ func (s *HAPSource) spawn(slot, gen, ti int32) {
 }
 
 // addApp creates a live application instance with its departure and
-// per-message-type emission clocks.
+// per-leaf emission clocks.
 func (s *HAPSource) addApp(ti int32) {
-	slot, gen := s.apps.add(ti)
+	slot, gen := s.apps.add()
 	s.e.addApps(s.st, 1)
 	s.e.scheduleEvAfter(s.exp(s.Model.Apps[ti].Mu), evHAPAppDepart, s.id, slot, gen, 0)
-	for j := range s.Model.Apps[ti].Messages {
-		s.scheduleEmit(slot, gen, ti, int32(j))
+	for k := s.first[ti]; k < s.first[ti+1]; k++ {
+		s.scheduleEmit(slot, gen, k)
 	}
 }
 
@@ -151,18 +155,17 @@ func (s *HAPSource) appDepart(slot, gen int32) {
 	s.e.addApps(s.st, -1)
 }
 
-func (s *HAPSource) scheduleEmit(slot, gen, ti, j int32) {
-	s.e.scheduleEvAfter(s.exp(s.Model.Apps[ti].Messages[j].Lambda), evHAPEmit, s.id, slot, gen, j)
+func (s *HAPSource) scheduleEmit(slot, gen, k int32) {
+	s.e.scheduleEvAfter(s.exp(s.rate[k]), evHAPEmit, s.id, slot, gen, k)
 }
 
-// emit fires an application's message clock for type j.
-func (s *HAPSource) emit(slot, gen, j int32) {
+// emit fires an application's message clock for leaf k.
+func (s *HAPSource) emit(slot, gen, k int32) {
 	if !s.apps.ok(slot, gen) {
 		return
 	}
-	ti := s.apps.val[slot]
-	s.e.arriveInto(s.st, s.Model.Apps[ti].Messages[j].Mu, s.cls[ti][j])
-	s.scheduleEmit(slot, gen, ti, j)
+	s.e.arriveInto(s.st, s.mu[k], s.class[k])
+	s.scheduleEmit(slot, gen, k)
 }
 
 // PoissonSource generates Poisson(Rate) messages served at rate Mu — the
@@ -254,7 +257,7 @@ func (s *OnOffSource) callArrive() {
 }
 
 func (s *OnOffSource) addCall() {
-	slot, gen := s.calls.add(0)
+	slot, gen := s.calls.add()
 	s.e.addUsers(s.st, 1)
 	s.e.scheduleEvAfter(s.exp(s.TL.Mu), evOnOffDepart, s.id, slot, gen, 0)
 	s.scheduleEmit(slot, gen)

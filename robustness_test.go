@@ -54,6 +54,33 @@ func TestFacadeNoPanicOnAdversarialParams(t *testing.T) {
 	noPanic(t, "simulate-cs/empty", func() error {
 		return hap.SimulateCS(&hap.CSModel{}, hap.SimConfig{Horizon: 100}).Err
 	})
+	for name, spoil := range map[string]func(*hap.CSModel){
+		"inf-app-rate": func(m *hap.CSModel) { m.Apps[0].Lambda = inf },
+		"inf-msg-rate": func(m *hap.CSModel) { m.Apps[0].Messages[0].Lambda = inf },
+		"inf-user-mu":  func(m *hap.CSModel) { m.Mu = inf },
+		"inf-resp-mu":  func(m *hap.CSModel) { m.Apps[0].Messages[0].MuResp = inf },
+		"nan-presp":    func(m *hap.CSModel) { m.Apps[0].Messages[0].PResp = nan },
+	} {
+		m := shellCS()
+		spoil(m)
+		name := "simulate-cs/" + name
+		noPanic(t, name, func() error {
+			// The event budget ends a run whose model slips past
+			// validation, so the row fails instead of hanging.
+			err := hap.SimulateCS(m, hap.SimConfig{Horizon: 100, Seed: 1, MaxEvents: 10000}).Err
+			wantBadParameter(t, name, err)
+			return err
+		})
+	}
+	// An infinite user rate cannot go through SimulateCS: drawing the
+	// initial Poisson(∞) population never returns, event budget or not.
+	noPanic(t, "cs-validate/inf-user-rate", func() error {
+		m := shellCS()
+		m.Lambda = inf
+		err := m.Validate()
+		wantBadParameter(t, "cs-validate/inf-user-rate", err)
+		return err
+	})
 	topo := hap.NetTandem("rows", []float64{10}, 0)
 	for _, tc := range []struct {
 		name string
@@ -90,6 +117,19 @@ func TestFacadeNoPanicOnAdversarialParams(t *testing.T) {
 			wantBadParameter(t, name, err)
 			return err
 		})
+	}
+}
+
+// shellCS is a valid one-exchange HAP-CS model for the rows to spoil.
+func shellCS() *hap.CSModel {
+	return &hap.CSModel{
+		Name: "shell", Lambda: 0.01, Mu: 0.002,
+		Apps: []hap.CSAppType{{
+			Name: "shell", Lambda: 0.02, Mu: 0.02,
+			Messages: []hap.CSMessageType{{
+				Name: "cmd", Lambda: 0.1, MuReq: 50, MuResp: 30, PResp: 0.9, PNext: 0.5,
+			}},
+		}},
 	}
 }
 
