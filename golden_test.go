@@ -77,7 +77,7 @@ func TestGoldenSamplePaths(t *testing.T) {
 		}, golden{mean: 0x3faf20728b9c4e88, arrivals: 200623, departures: 200622, events: 404157}},
 		{"RunCS", func() *sim.RunResult {
 			return sim.RunCS(core.RloginCS(), sim.Config{Horizon: 20000, Seed: 21})
-		}, golden{mean: 0x3fa262049098e2e2, arrivals: 26062, departures: 26062, events: 57437}},
+		}, golden{mean: 0x3fa2ce21286e079a, arrivals: 35030, departures: 35030, events: 77109}},
 		{"MMPP2Source", func() *sim.RunResult {
 			m2 := mmpp.MMPP2{R0: 2, R1: 20, Q01: 0.02, Q10: 0.08}
 			return sim.Run(sim.MMPP2Source(m2, 40, dist.NewStreams(13).Next()),
