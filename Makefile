@@ -81,9 +81,10 @@ net-smoke:
 
 # cli-smoke asserts the runner every cmd/ binary shares: each of the
 # seven reports a bad flag value as a usage error (exit 2, one stderr
-# line, no panic), negative model and tandem sizes and an infinite hapd
-# -fmax included, and hapsim and experiments runs that -timeout cuts
-# short exit 5 and leave CPU and heap profiles that go tool pprof reads.
+# line, no panic), negative model and tandem sizes, an infinite hapd
+# -fmax and an infinite hapgen -model-seconds included, and hapsim and
+# experiments runs that -timeout cuts short exit 5 and leave CPU and heap
+# profiles that go tool pprof reads.
 # hapsolve solves Solution 0 on an asymmetric -config model (exit 0), and
 # -timeout cuts its matrix-geometric solve short (exit 5, one line).
 cli-smoke:
@@ -92,12 +93,13 @@ cli-smoke:
 # bench-smoke compiles and runs one iteration of the simulator benchmark
 # and of the layer benchmarks: the scheduler's hold model at one source's
 # and 128 sources' pending sizes, the 441×441 linalg kernels (GFLOP/s),
-# the exact P0 queue solve they serve (s/op, log-reduction iterations)
-# and the P0 modulator's stationary solve (states/s).
+# the exact P0 queue solve they serve (s/op, log-reduction iterations),
+# the P0 modulator's stationary solve (states/s) and a P0 schedule over
+# 2·10⁵ model seconds (arrivals/s), all of p0-offline's set-up.
 bench-smoke:
 	$(GO) test -bench=SimulatorHAP -benchtime=1x -run '^$$' .
 	$(GO) test -bench=SchedHold -benchtime=1x -run '^$$' ./internal/sim
-	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/linalg ./internal/solver ./internal/markov
+	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/linalg ./internal/solver ./internal/markov ./internal/netgen
 
 # hapbench runs one workload of the benchmark of record (hapbench/NOTES.md)
 # through hapbench/run.sh, which builds hapbench and hapd into

@@ -465,14 +465,14 @@ func netRow(dir string) error {
 }
 
 // cliRow: every binary reports a bad flag value as a usage error (exit
-// status 2, one stderr line, no panic), negative model and tandem sizes
-// and an infinite hapd headroom ceiling among them, and a hapsim or
-// experiments run that -timeout cuts short exits 5 (cancelled) and still
-// leaves a CPU and a heap profile that go tool pprof reads. hapsolve runs
-// Solution 0 on an asymmetric -config model (exit 0, a solution0 row),
-// and -timeout cuts its matrix-geometric solve short within seconds
-// (exit 5, one stderr line). It checks every case and reports each one
-// that fails.
+// status 2, one stderr line, no panic), negative model and tandem sizes,
+// an infinite hapd headroom ceiling and an infinite hapgen horizon among
+// them, and a hapsim or experiments run that -timeout cuts short exits 5
+// (cancelled) and still leaves a CPU and a heap profile that go tool
+// pprof reads. hapsolve runs Solution 0 on an asymmetric -config model
+// (exit 0, a solution0 row), and -timeout cuts its matrix-geometric solve
+// short within seconds (exit 5, one stderr line). It checks every case
+// and reports each one that fails.
 func cliRow(dir string) error {
 	short := filepath.Join(dir, "short.csv")
 	if err := os.WriteFile(short, []byte("0.1\n0.2\n0.3\n"), 0o644); err != nil {
@@ -488,6 +488,7 @@ func cliRow(dir string) error {
 		{"hapsolve", "-lambda", "NaN"},
 		{"hapnet", "-source", "poisson", "-rate", "NaN"},
 		{"hapgen", "-mode", "trace", "-model-seconds", "NaN", "-out", filepath.Join(dir, "nan.csv")},
+		{"hapgen", "-mode", "trace", "-model-seconds", "Inf", "-out", filepath.Join(dir, "inf.csv")},
 		{"hapfit", "-in", short},
 		{"hapd", "-mu3", "1", "-target", "1", "-window", "NaN"},
 		{"experiments", "-experiment", "E1", "-scale", "NaN", "-results", ""},
