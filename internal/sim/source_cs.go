@@ -22,11 +22,9 @@ import (
 type CSSource struct {
 	Model *core.CSModel
 
-	hap    *HAPSource
-	id     int32
-	muResp []float64 // response service rate per message type
-	pResp  []float64
-	pNext  []float64
+	hap  *HAPSource
+	id   int32
+	msgs []core.CSMessageType // message types flattened, in leaf order
 }
 
 // NewCSSource builds a client-server source.
@@ -39,17 +37,13 @@ func NewCSSource(m *core.CSModel, rng *rand.Rand) *CSSource {
 		s.hap.class[k] = 2 * k
 	}
 	for _, a := range m.Apps {
-		for _, msg := range a.Messages {
-			s.muResp = append(s.muResp, msg.MuResp)
-			s.pResp = append(s.pResp, msg.PResp)
-			s.pNext = append(s.pNext, msg.PNext)
-		}
+		s.msgs = append(s.msgs, a.Messages...)
 	}
 	return s
 }
 
 // ClassCount returns the number of message classes (2 per message type).
-func (s *CSSource) ClassCount() int { return 2 * len(s.muResp) }
+func (s *CSSource) ClassCount() int { return 2 * len(s.msgs) }
 
 func (s *CSSource) String() string { return fmt.Sprintf("hap-cs(%s)", s.Model.Name) }
 
@@ -66,7 +60,7 @@ func (s *CSSource) sendRequest(k int32) {
 }
 
 func (s *CSSource) sendResponse(k int32) {
-	s.hap.e.arriveInto(s.hap.st, s.muResp[k], int(2*k+1))
+	s.hap.e.arriveInto(s.hap.st, s.msgs[k].MuResp, int(2*k+1))
 }
 
 // onServed continues the exchange: served request → maybe response;
@@ -75,18 +69,18 @@ func (s *CSSource) sendResponse(k int32) {
 // replies regardless.
 func (s *CSSource) onServed(class int) {
 	k := class / 2
-	if k < 0 || k >= len(s.pResp) {
+	if k < 0 || k >= len(s.msgs) {
 		return
 	}
 	if class%2 == 0 {
 		// Request finished: trigger the response.
-		if s.hap.rng.Float64() < s.pResp[k] {
+		if s.hap.rng.Float64() < s.msgs[k].PResp {
 			s.after(evCSSendResp, int32(k))
 		}
 		return
 	}
 	// Response finished: maybe the client issues the next request.
-	if s.hap.rng.Float64() < s.pNext[k] {
+	if s.hap.rng.Float64() < s.msgs[k].PNext {
 		s.after(evCSSendReq, int32(k))
 	}
 }
